@@ -6,19 +6,23 @@
 //!
 //! One in-memory engine, one hot object, 600 committed increments with
 //! a checkpoint after the first 300 — and three query targets that
-//! exercise the three cost regimes of `RhDb::read_as_of`:
+//! exercise the three cost regimes of `RhDb::read_as_of`. A query reads
+//! only the records the log's index lists for its object and that
+//! object's transactions (each increment's update, commit and end
+//! records), so its cost follows the versions between the seed and the
+//! target, not the length of the log:
 //!
 //! * **`asof_near_tip`** — target = the log tail. The newest checkpoint
-//!   sits 300 commits below, so the replay seeds there and scans the
-//!   younger half of the log.
+//!   sits 300 commits below, so the replay seeds there and reads the
+//!   records of the 300 younger versions.
 //! * **`asof_deep_history`** — target = the last pre-checkpoint
 //!   commit. No checkpoint at-or-below the target exists, so the
-//!   replay is seedless: it folds forward from the log's first record
-//!   through the same number of committed versions the near-tip query
-//!   replays, which is what makes the pair comparable — the delta is
-//!   what having *any* checkpoint below the target is worth.
+//!   replay is seedless: it reads from the log's first record the
+//!   records of as many committed versions as the near-tip query,
+//!   which is what makes the pair comparable — the delta is what
+//!   seeding from a checkpoint snapshot costs or saves.
 //! * **`asof_checkpoint_adjacent`** — target = the LSN right after the
-//!   checkpoint. The replay seeds from the snapshot and scans almost
+//!   checkpoint. The replay seeds from the snapshot and reads almost
 //!   nothing, the best case the checkpoint-seeding optimization buys.
 
 use rh_common::{Lsn, ObjectId};
@@ -42,8 +46,9 @@ pub struct AsofFixture {
 }
 
 /// Builds the fixture: 300 increments, a checkpoint, 300 more. Each
-/// transaction also touches a cold neighbor object so the replay has to
-/// skip records that are not about `OB`, like any real log.
+/// transaction also touches a cold neighbor object, so the log holds
+/// records that are not about `OB`, like any real log; the index lets
+/// the replay leave them unread.
 pub fn build() -> AsofFixture {
     let mut db = RhDb::new(Strategy::Rh);
     let mut deep = Lsn::NULL;
@@ -112,6 +117,7 @@ pub fn median_asof_ns(fixture: &AsofFixture, target: Lsn, iters: usize) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rh_core::reenact::Purpose;
 
     #[test]
     fn fixture_targets_hit_their_regimes() {
@@ -122,9 +128,9 @@ mod tests {
         assert_eq!(f.query(f.deep), COMMITS_PER_HALF as i64);
         // The regimes are real: the checkpoint-adjacent replay seeds
         // from the snapshot, the deep-history one cannot.
-        let adj = f.db.reenact(OB, f.ckpt_adjacent).expect("reenact");
+        let adj = f.db.reenact(OB, f.ckpt_adjacent, Purpose::Value).expect("reenact");
         assert!(adj.seeded_from.is_some(), "adjacent target must seed");
-        let deep = f.db.reenact(OB, f.deep).expect("reenact");
+        let deep = f.db.reenact(OB, f.deep, Purpose::Value).expect("reenact");
         assert!(deep.seeded_from.is_none(), "deep target must be seedless");
         assert!(
             deep.records_scanned > adj.records_scanned,

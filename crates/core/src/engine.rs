@@ -19,6 +19,7 @@ use crate::checkpoint::CheckpointSnapshot;
 use crate::flight::FlightRecorder;
 use crate::provenance::{ProvHop, ProvenanceTable};
 use crate::recovery::{self, RecoveryReport};
+use crate::reenact::Purpose;
 use crate::txn_table::{TrList, TxnStatus};
 use parking_lot::Mutex;
 use rh_common::codec::Codec;
@@ -324,7 +325,7 @@ impl RhDb {
     /// [`crate::reenact::query`]). Prepared-but-undecided transactions
     /// are presumed aborted, exactly as recovery would.
     pub fn read_as_of(&self, ob: ObjectId, lsn: Lsn) -> Result<Value> {
-        Ok(crate::reenact::query(&self.log, &self.obs, ob, lsn)?.value())
+        Ok(crate::reenact::query(&self.log, &self.obs, ob, lsn, Purpose::Value)?.value())
     }
 
     /// The committed version timeline of `ob` over `[from, to]`
@@ -338,16 +339,22 @@ impl RhDb {
         from: Lsn,
         to: Lsn,
     ) -> Result<Vec<crate::reenact::VersionRecord>> {
-        let r = crate::reenact::query(&self.log, &self.obs, ob, to)?;
+        let r = crate::reenact::query(&self.log, &self.obs, ob, to, Purpose::History)?;
         Ok(r.versions().into_iter().filter(|v| v.lsn >= from).collect())
     }
 
     /// The full reenactment of `ob` at `as_of` — value, version
     /// timeline, and in-doubt transactions awaiting a coordinator
     /// decision. The typed result behind [`RhDb::read_as_of`] and
-    /// [`RhDb::history`].
-    pub fn reenact(&self, ob: ObjectId, as_of: Lsn) -> Result<crate::reenact::Reenactment> {
-        crate::reenact::query(&self.log, &self.obs, ob, as_of)
+    /// [`RhDb::history`]; trace ids are stitched only for
+    /// [`Purpose::History`].
+    pub fn reenact(
+        &self,
+        ob: ObjectId,
+        as_of: Lsn,
+        purpose: Purpose,
+    ) -> Result<crate::reenact::Reenactment> {
+        crate::reenact::query(&self.log, &self.obs, ob, as_of, purpose)
     }
 
     /// The postmortem built by the recovery that produced this
@@ -464,8 +471,9 @@ impl RhDb {
                         Some(HttpResponse::Json(doc.unwrap_or(JsonValue::Null)))
                     }
                     p => {
-                        let reenact = |ob, lsn| {
-                            crate::reenact::query(&log, &obs, ob, lsn).map(|r| (r, BTreeSet::new()))
+                        let reenact = |ob, lsn, purpose| {
+                            crate::reenact::query(&log, &obs, ob, lsn, purpose)
+                                .map(|r| (r, BTreeSet::new()))
                         };
                         if let Some(rest) = p.strip_prefix("/asof/") {
                             Some(introspect_asof(rest, reenact))
@@ -1030,7 +1038,7 @@ pub(crate) fn parse_lsn_segment(s: &str) -> Option<Lsn> {
 /// history) is a 400 carrying the reenactment error.
 pub(crate) fn introspect_asof(
     rest: &str,
-    run: impl Fn(ObjectId, Lsn) -> Result<(crate::reenact::Reenactment, BTreeSet<TxnId>)>,
+    run: impl Fn(ObjectId, Lsn, Purpose) -> Result<(crate::reenact::Reenactment, BTreeSet<TxnId>)>,
 ) -> HttpResponse {
     let mut it = rest.splitn(2, '/');
     let ob = it.next().and_then(|s| s.parse::<u64>().ok());
@@ -1040,7 +1048,7 @@ pub(crate) fn introspect_asof(
             "expected /asof/<ob>/<lsn> with numeric segments (or \"now\" for the lsn)",
         );
     };
-    match run(ObjectId(ob), lsn) {
+    match run(ObjectId(ob), lsn, Purpose::Value) {
         Ok((r, decided)) => HttpResponse::Json(JsonValue::obj(vec![
             ("object", JsonValue::U64(ob)),
             ("as_of", JsonValue::U64(r.as_of.raw())),
@@ -1066,12 +1074,12 @@ pub(crate) fn introspect_asof(
 /// [`introspect_asof`].
 pub(crate) fn introspect_history(
     rest: &str,
-    run: impl Fn(ObjectId, Lsn) -> Result<(crate::reenact::Reenactment, BTreeSet<TxnId>)>,
+    run: impl Fn(ObjectId, Lsn, Purpose) -> Result<(crate::reenact::Reenactment, BTreeSet<TxnId>)>,
 ) -> HttpResponse {
     let Ok(ob) = rest.parse::<u64>() else {
         return HttpResponse::bad_request("object id must be numeric");
     };
-    match run(ObjectId(ob), Lsn::NULL) {
+    match run(ObjectId(ob), Lsn::NULL, Purpose::History) {
         Ok((r, decided)) => {
             HttpResponse::Json(r.to_json_range(Lsn::FIRST, r.as_of, |t| decided.contains(&t)))
         }

@@ -64,12 +64,7 @@ impl FlightRecorder {
     /// the flight recorder must never fail the engine.
     pub fn record(&self, reason: &str, obs: &Obs) -> bool {
         let metrics = obs.registry.snapshot();
-        let mut trace = obs.tracer.snapshot();
-        let skip = trace.events.len().saturating_sub(BLACKBOX_TRACE_EVENTS);
-        if skip > 0 {
-            trace.events.drain(..skip);
-            trace.dropped += skip as u64;
-        }
+        let trace = obs.tracer.tail(BLACKBOX_TRACE_EVENTS);
         let seq = self.sidecar.next_seq();
         let bytes = blackbox::encode_record(
             seq,
@@ -155,6 +150,9 @@ mod tests {
         let (_, payload) = fr.sidecar().last().unwrap();
         let rec = BlackBoxRecord::parse(&payload).unwrap();
         assert_eq!(rec.events().len(), BLACKBOX_TRACE_EVENTS);
+        // The 100 older events left out are counted as dropped.
+        let dropped = rec.raw.get("trace").and_then(|t| t.get("dropped"));
+        assert_eq!(dropped.and_then(rh_obs::JsonValue::as_u64), Some(100));
     }
 
     #[test]

@@ -72,7 +72,7 @@ pub use engine::{RhDb, Strategy};
 pub use flight::FlightRecorder;
 pub use history::{Event, Oracle};
 pub use provenance::{ProvHop, ProvenanceTable};
-pub use reenact::{Reenactment, VersionRecord};
+pub use reenact::{Purpose, Reenactment, VersionRecord};
 pub use replica::{PromotedDb, ReplicaSet};
 pub use scope::Scope;
 pub use sharded::{ShardMap, ShardedDb, TwoPcFault};

@@ -14,35 +14,49 @@
 //!
 //! ## Algorithm
 //!
-//! 1. **Seed.** Scan backward from the target LSN for the newest
-//!    decodable `CheckpointEnd` at-or-below it. Its snapshot provides the
-//!    object's value at checkpoint time (the checkpoint captures a value
-//!    overlay right after its `flush_all`, while the engine is
+//! 1. **Seed.** Binary-search the log's checkpoint list (see below) for
+//!    the newest decodable `CheckpointEnd` at-or-below the target LSN.
+//!    Its snapshot provides the object's value at checkpoint time (the
+//!    checkpoint captures a value overlay right after its `flush_all`,
+//!    while the engine is
 //!    exclusively held — so the overlay *is* the database state at
 //!    `CheckpointBegin`), the transaction table with its scope-bearing
 //!    Ob_Lists, the compensated-LSN set, and the provenance chains. With
 //!    no checkpoint below the target the replay seeds from the log's
 //!    first record and the initial value — correct whenever the log was
 //!    never truncated, an error otherwise.
-//! 2. **Replay.** Scan forward to the target, repeating history on the
-//!    one object: every `Update`/`Clr` on it is applied in LSN order, so
+//! 2. **Gather.** Only a few records between the seed and the target
+//!    bear on one object: its own `Update`/`Clr`/`Delegate` records, and
+//!    the commit, abort, prepare, end and `Delegate{All}` records of the
+//!    transactions involved with it — its invokers, its delegatees
+//!    (followed through `Delegate{All}` hop by hop), and the holders in
+//!    the seed snapshot. The log's secondary index
+//!    ([`LogManager::object_lsns`], [`LogManager::txn_lsns`]) lists them
+//!    by binary-searched LSN range, so the cost is O(versions of the
+//!    object), not O(log). Every other record only moves state of other
+//!    objects.
+//! 3. **Replay.** Repeat history on the one object over the gathered
+//!    records in LSN order: every `Update`/`Clr` on it is applied, so
 //!    the running value at LSN L equals the page state a crash-recovery
 //!    at L would rebuild. Commit, abort, prepare, and delegate records
 //!    drive the shadow transaction table exactly as the recovery forward
 //!    pass does; a delegate additionally retargets the *pending* (not yet
 //!    committed) updates of the delegator to the delegatee, recording the
 //!    hop on each — that is the per-version provenance trail.
-//! 3. **Resolve.** A commit freezes the committer's un-compensated
+//! 4. **Resolve.** A commit freezes the committer's un-compensated
 //!    pending updates into [`VersionRecord`]s. Updates still owned by an
 //!    active transaction at the target become the *undo set*: the
 //!    as-of value is the all-applied value with those ops undone in
 //!    reverse LSN order — precisely what recovery's backward pass would
 //!    do, so `read_as_of(ob, L)` equals the committed state a crash at L
-//!    recovers. Prepared-but-undecided transactions are reported as
-//!    [`InDoubt`]: the caller decides their fate (the sharded router
-//!    consults other shards' durable `CoordCommit` records, stitching
-//!    cross-shard histories by global transaction id; a standalone engine
-//!    presumes abort, like recovery).
+//!    recovers. Prepared-but-undecided transactions involved with the
+//!    object are reported as [`InDoubt`]: the caller decides their fate
+//!    (the sharded router consults other shards' durable `CoordCommit`
+//!    records, stitching cross-shard histories by global transaction id;
+//!    a standalone engine presumes abort, like recovery).
+//!
+//! The index is built by the queries themselves, only as far as the
+//! targets they ask about, so the write path pays nothing for it.
 //!
 //! Updates that precede the seeding checkpoint but belong to scopes still
 //! live at it are reconstructed by a bounded pre-seed scan: the records
@@ -58,9 +72,9 @@ use crate::txn_table::{TrList, TxnStatus};
 use rh_common::codec::Codec;
 use rh_common::{Lsn, ObjectId, Result, RhError, TxnId, UpdateOp, Value};
 use rh_obs::JsonValue;
-use rh_wal::record::{DelegateBody, RecordBody};
+use rh_wal::record::{DelegateBody, LogRecord, RecordBody};
 use rh_wal::LogManager;
-use std::collections::HashSet;
+use std::collections::{BTreeSet, HashSet};
 
 /// One committed version of an object: an update stitched with its full
 /// responsibility trail.
@@ -82,8 +96,8 @@ pub struct VersionRecord {
     /// `responsible`, in log order (empty when never delegated).
     pub hops: Vec<ProvHop>,
     /// The originating trace id, when the commit was stitched to a
-    /// request trace (filled by the engine from the tracer ring; `None`
-    /// in pure log replay).
+    /// request trace (filled from the tracer ring by history queries;
+    /// `None` in pure log replay and in value reads).
     pub trace: Option<u64>,
 }
 
@@ -136,9 +150,11 @@ pub struct Reenactment {
     pub as_of: Lsn,
     /// LSN of the `CheckpointEnd` the replay seeded from, if any.
     pub seeded_from: Option<Lsn>,
-    /// Transactions prepared but undecided at the target.
+    /// Transactions involved with the object and prepared but undecided
+    /// at the target.
     pub in_doubt: Vec<InDoubt>,
-    /// Log records visited (seek + replay + pre-seed reconstruction).
+    /// Log records read (seed checkpoint + gathered records + pre-seed
+    /// reconstruction); index ingest is not counted here.
     pub records_scanned: u64,
     /// Committed versions in LSN order (commits at/below the target).
     versions: Vec<VersionRecord>,
@@ -300,17 +316,20 @@ pub fn replay(log: &LogManager, ob: ObjectId, as_of: Lsn) -> Result<Reenactment>
 
     // ---- seed: newest decodable CheckpointEnd at-or-below the target --
     let mut seed: Option<(Lsn, CheckpointSnapshot)> = None;
-    let mut cursor = as_of;
-    while !cursor.is_null() && cursor >= first {
-        let rec = log.read(cursor)?;
+    let mut below = as_of;
+    while let Some(cl) = log.checkpoint_at_or_below(below)? {
+        let rec = log.read(cl)?;
         scanned += 1;
         if let RecordBody::CheckpointEnd { payload } = &rec.body {
             if let Ok(snap) = CheckpointSnapshot::from_bytes(payload) {
-                seed = Some((cursor, snap));
+                seed = Some((cl, snap));
                 break;
             }
         }
-        cursor = cursor.prev();
+        if cl == Lsn::FIRST {
+            break;
+        }
+        below = cl.prev();
     }
     if seed.is_none() && first > Lsn::FIRST {
         return Err(RhError::Reenact {
@@ -340,6 +359,41 @@ pub fn replay(log: &LogManager, ob: ObjectId, as_of: Lsn) -> Result<Reenactment>
         ),
     };
 
+    // ---- gather: the records that can bear on this one object ----------
+    // The object's own updates, CLRs and delegations, plus the outcome
+    // records and whole-list delegations of every transaction involved
+    // with it: its invokers, its delegatees (followed through
+    // `Delegate{All}`, hop by hop), and the holders in the seed
+    // snapshot. Every other record only moves state of other objects.
+    let mut involved: BTreeSet<TxnId> =
+        tr.iter().filter(|(_, e)| e.ob_list.contains(ob)).map(|(t, _)| t).collect();
+    let mut recs: Vec<LogRecord> = Vec::new();
+    let own = if scan_from > as_of { Vec::new() } else { log.object_lsns(ob, scan_from, as_of)? };
+    for l in own {
+        let rec = log.read(l)?;
+        involved.insert(rec.txn);
+        if let RecordBody::Delegate { tee, .. } = &rec.body {
+            involved.insert(*tee);
+        }
+        recs.push(rec);
+    }
+    let mut frontier: Vec<TxnId> = involved.iter().copied().collect();
+    while !frontier.is_empty() {
+        let lsns = log.txn_lsns(&frontier, scan_from, as_of)?;
+        frontier.clear();
+        for l in lsns {
+            let rec = log.read(l)?;
+            if let RecordBody::Delegate { tee, .. } = &rec.body {
+                if involved.insert(*tee) {
+                    frontier.push(*tee);
+                }
+            }
+            recs.push(rec);
+        }
+    }
+    recs.sort_unstable_by_key(|r| r.lsn);
+    scanned += recs.len() as u64;
+
     // ---- replay: repeat history on this one object ---------------------
     let mut val = seed_val;
     let mut pending: Vec<Pending> = Vec::new();
@@ -358,10 +412,8 @@ pub fn replay(log: &LogManager, ob: ObjectId, as_of: Lsn) -> Result<Reenactment>
             .unwrap_or_default()
     };
 
-    let mut lsn = scan_from;
-    while !lsn.is_null() && lsn <= as_of {
-        let rec = log.read(lsn)?;
-        scanned += 1;
+    for rec in &recs {
+        let lsn = rec.lsn;
         match &rec.body {
             RecordBody::Begin => ensure_txn(&mut tr, rec.txn, lsn),
             RecordBody::Update { ob: o, op } => {
@@ -461,10 +513,11 @@ pub fn replay(log: &LogManager, ob: ObjectId, as_of: Lsn) -> Result<Reenactment>
             }
             RecordBody::CheckpointBegin | RecordBody::CheckpointEnd { .. } => {}
         }
-        lsn = lsn.next();
     }
 
     // ---- unresolved transactions at the target -------------------------
+    // The seed snapshot may still carry transactions that never touched
+    // this object; only the involved ones can be in doubt about it.
     let mut loser_undo: Vec<(Lsn, UpdateOp)> = Vec::new();
     for (t, e) in tr.iter() {
         match e.status {
@@ -474,7 +527,7 @@ pub fn replay(log: &LogManager, ob: ObjectId, as_of: Lsn) -> Result<Reenactment>
                     needs.push(PreSeedNeed { txn: t, committed_at: None, scopes });
                 }
             }
-            TxnStatus::Prepared => {
+            TxnStatus::Prepared if involved.contains(&t) => {
                 let scopes = pre_seed_scopes(&tr, t, scan_from);
                 let prepared_at = e.last_lsn;
                 let mut d = InDoubt { txn: t, prepared_at, versions: Vec::new(), undo: Vec::new() };
@@ -497,7 +550,7 @@ pub fn replay(log: &LogManager, ob: ObjectId, as_of: Lsn) -> Result<Reenactment>
                 }
                 in_doubt.push(d);
             }
-            TxnStatus::Committed | TxnStatus::Aborted => {}
+            TxnStatus::Prepared | TxnStatus::Committed | TxnStatus::Aborted => {}
         }
     }
     for p in pending.iter() {
@@ -521,21 +574,19 @@ pub fn replay(log: &LogManager, ob: ObjectId, as_of: Lsn) -> Result<Reenactment>
             .max(first);
         // All ops on `ob` in [start, scan_from), in LSN order.
         let mut pre_ops: Vec<(Lsn, TxnId, UpdateOp, bool)> = Vec::new();
-        let mut l = start;
-        while !l.is_null() && l < scan_from {
-            let rec = log.read(l)?;
-            scanned += 1;
-            match &rec.body {
-                RecordBody::Update { ob: o, op } if *o == ob => {
-                    pre_ops.push((l, rec.txn, *op, false));
+        if start < scan_from {
+            for l in log.object_lsns(ob, start, scan_from.prev())? {
+                let rec = log.read(l)?;
+                scanned += 1;
+                match &rec.body {
+                    RecordBody::Update { op, .. } => pre_ops.push((l, rec.txn, *op, false)),
+                    RecordBody::Clr { op, compensated: c, .. } => {
+                        compensated.insert(*c);
+                        pre_ops.push((l, rec.txn, *op, true));
+                    }
+                    _ => {}
                 }
-                RecordBody::Clr { ob: o, op, compensated: c, .. } if *o == ob => {
-                    compensated.insert(*c);
-                    pre_ops.push((l, rec.txn, *op, true));
-                }
-                _ => {}
             }
-            l = l.next();
         }
         // Values at the time: walk backward from the seed value.
         let mut value_after = vec![seed_val; pre_ops.len()];
@@ -603,12 +654,30 @@ pub fn replay(log: &LogManager, ob: ObjectId, as_of: Lsn) -> Result<Reenactment>
     })
 }
 
-/// The instrumented front door: [`replay`] plus `reenact.*` counters and
-/// trace stitching. Takes only the log and observability handles — both
-/// `Arc`-shared and internally synchronized — so the engine mutex is
-/// never held across a replay; the introspection server and the wire
-/// dispatch call this from captured handles.
-pub fn query(log: &LogManager, obs: &rh_obs::Obs, ob: ObjectId, as_of: Lsn) -> Result<Reenactment> {
+/// What a reenactment query is for. Only a history view stitches trace
+/// ids into its versions, which copies the trace ring; a value read
+/// never touches the ring.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Purpose {
+    /// The as-of value (`read_as_of`, wire `ReadAsOf`, `/asof`).
+    Value,
+    /// The version timeline with trace ids (`history`, `/history`).
+    History,
+}
+
+/// The instrumented front door: [`replay`] plus `reenact.*` counters, and
+/// for [`Purpose::History`] trace stitching. Takes only the log and
+/// observability handles — both `Arc`-shared and internally synchronized
+/// — so the engine mutex is never held across a replay; the
+/// introspection server and the wire dispatch call this from captured
+/// handles.
+pub fn query(
+    log: &LogManager,
+    obs: &rh_obs::Obs,
+    ob: ObjectId,
+    as_of: Lsn,
+    purpose: Purpose,
+) -> Result<Reenactment> {
     let mut r = replay(log, ob, as_of)?;
     obs.registry.inc(rh_obs::names::M_REENACT_QUERIES);
     obs.registry.add(rh_obs::names::M_REENACT_RECORDS, r.records_scanned);
@@ -616,10 +685,12 @@ pub fn query(log: &LogManager, obs: &rh_obs::Obs, ob: ObjectId, as_of: Lsn) -> R
         obs.registry.inc(rh_obs::names::M_REENACT_SEEDED);
     }
     obs.registry.add(rh_obs::names::M_REENACT_VERSIONS, r.versions.len() as u64);
-    let events = obs.tracer.snapshot().events;
-    stitch_traces(&mut r.versions, &events);
-    for d in &mut r.in_doubt {
-        stitch_traces(&mut d.versions, &events);
+    if purpose == Purpose::History {
+        let events = obs.tracer.snapshot().events;
+        stitch_traces(&mut r.versions, &events);
+        for d in &mut r.in_doubt {
+            stitch_traces(&mut d.versions, &events);
+        }
     }
     Ok(r)
 }
@@ -877,6 +948,140 @@ mod tests {
         assert_eq!(before, after);
         // And at the post-recovery tip the loser's effect is gone.
         assert_eq!(replay(d2.log(), A, Lsn::NULL).unwrap().value(), 10);
+    }
+
+    /// Every target's answer from a log whose index was already built
+    /// to the tip, against a fresh manager over the same records that
+    /// ingests only as far as each query asks.
+    fn assert_index_state_is_invisible(d: &RhDb, obs: &[ObjectId]) {
+        d.log().flush_all().unwrap();
+        let warm = d.log();
+        for &ob in obs {
+            replay(warm, ob, Lsn::NULL).unwrap();
+        }
+        let cold = LogManager::attach(warm.stable());
+        for l in 0..=warm.last_lsn().raw() {
+            for &ob in obs {
+                let (a, b) =
+                    (replay(warm, ob, Lsn(l)).unwrap(), replay(&cold, ob, Lsn(l)).unwrap());
+                assert_eq!(a.value(), b.value(), "{ob} at {l}");
+                assert_eq!(a.versions(), b.versions(), "{ob} at {l}");
+            }
+        }
+    }
+
+    #[test]
+    fn target_below_the_ingest_mark_answers_as_before() {
+        let mut d = db();
+        let t1 = d.begin().unwrap();
+        write(&mut d, t1, A, 5);
+        let c1 = d.commit_prepare(t1).unwrap();
+        let t2 = d.begin().unwrap();
+        write(&mut d, t2, A, 7);
+        write(&mut d, t2, B, 1);
+        d.commit(t2).unwrap();
+        // The tip query ingests the whole log; older targets still see
+        // only their prefix.
+        assert_eq!(replay(d.log(), A, Lsn::NULL).unwrap().value(), 7);
+        assert_eq!(replay(d.log(), A, c1.prev()).unwrap().value(), rh_storage::Page::INITIAL_VALUE);
+        assert_eq!(replay(d.log(), A, c1).unwrap().value(), 5);
+        assert_index_state_is_invisible(&d, &[A, B]);
+    }
+
+    #[test]
+    fn delegate_all_moves_the_object_over_two_hops() {
+        let mut d = db();
+        let t1 = d.begin().unwrap();
+        let t2 = d.begin().unwrap();
+        let t3 = d.begin().unwrap();
+        write(&mut d, t1, A, 42);
+        d.delegate_all(t1, t2).unwrap();
+        d.delegate_all(t2, t3).unwrap();
+        d.commit(t1).unwrap();
+        d.commit(t2).unwrap();
+        // t3 still active: the update is a loser's.
+        assert_eq!(replay(d.log(), A, Lsn::NULL).unwrap().value(), rh_storage::Page::INITIAL_VALUE);
+        d.commit(t3).unwrap();
+        let r = replay(d.log(), A, Lsn::NULL).unwrap();
+        assert_eq!(r.value(), 42);
+        let vs = r.versions();
+        assert_eq!(vs.len(), 1);
+        assert_eq!((vs[0].invoker, vs[0].responsible), (t1, t3));
+        let hops: Vec<(TxnId, TxnId)> = vs[0].hops.iter().map(|h| (h.from, h.to)).collect();
+        assert_eq!(hops, vec![(t1, t2), (t2, t3)]);
+        assert_index_state_is_invisible(&d, &[A]);
+    }
+
+    #[test]
+    fn straddling_scope_follows_a_delegate_all_after_the_seed() {
+        let mut d = db();
+        let t1 = d.begin().unwrap();
+        let t2 = d.begin().unwrap();
+        write(&mut d, t1, A, 10);
+        d.checkpoint().unwrap();
+        // After the seed, `A` is named by no record: only the snapshot
+        // says t1 holds it, and only t1's outcome records move it on.
+        d.delegate_all(t1, t2).unwrap();
+        d.commit(t1).unwrap();
+        d.commit(t2).unwrap();
+        let r = replay(d.log(), A, Lsn::NULL).unwrap();
+        assert!(r.seeded_from.is_some());
+        assert_eq!(r.value(), 10);
+        let vs = r.versions();
+        assert_eq!(vs.len(), 1, "the pre-seed update is reconstructed");
+        assert_eq!((vs[0].invoker, vs[0].responsible), (t1, t2));
+        assert_eq!(vs[0].hops.len(), 1);
+        assert_index_state_is_invisible(&d, &[A]);
+    }
+
+    #[test]
+    fn truncation_below_the_ingested_prefix_still_errors() {
+        let mut d = db();
+        let t1 = d.begin().unwrap();
+        write(&mut d, t1, A, 10);
+        d.commit(t1).unwrap();
+        d.checkpoint().unwrap();
+        // Ingest everything, then cut the prefix away under the index.
+        assert_eq!(replay(d.log(), A, Lsn::NULL).unwrap().value(), 10);
+        let entries = d.log().metrics().snapshot().index_entries;
+        assert!(d.log().truncate_prefix(d.log().stable().master()).unwrap() > 0);
+        assert!(d.log().metrics().snapshot().index_entries < entries, "truncation prunes");
+        let err = replay(d.log(), A, Lsn(0)).unwrap_err();
+        assert!(matches!(err, RhError::Reenact { .. }), "got {err:?}");
+        assert_eq!(replay(d.log(), A, Lsn::NULL).unwrap().value(), 10);
+    }
+
+    #[test]
+    fn unrelated_prepared_txn_is_not_in_doubt() {
+        let mut d = db();
+        let t1 = d.begin().unwrap();
+        write(&mut d, t1, A, 10);
+        d.commit(t1).unwrap();
+        let t2 = d.begin().unwrap();
+        write(&mut d, t2, B, 77);
+        d.prepare_commit(t2).unwrap();
+        let r = replay(d.log(), A, Lsn::NULL).unwrap();
+        assert!(r.in_doubt.is_empty(), "t2 never touched A");
+        assert_eq!(r.value(), 10);
+        // Carried by a checkpoint snapshot, it stays out as well.
+        d.checkpoint().unwrap();
+        let r = replay(d.log(), A, Lsn::NULL).unwrap();
+        assert!(r.seeded_from.is_some());
+        assert!(r.in_doubt.is_empty());
+        let rb = replay(d.log(), B, Lsn::NULL).unwrap();
+        assert_eq!(rb.in_doubt.iter().map(|x| x.txn).collect::<Vec<_>>(), vec![t2]);
+    }
+
+    #[test]
+    fn value_reads_leave_traces_unstitched() {
+        let mut d = db();
+        let t = d.begin().unwrap();
+        write(&mut d, t, A, 10);
+        d.commit(t).unwrap();
+        d.obs().tracer.phase(rh_obs::names::PH_FLUSH_WAIT, t.raw(), 99, 5);
+        let value = d.reenact(A, Lsn::NULL, Purpose::Value).unwrap();
+        assert_eq!(value.versions()[0].trace, None);
+        assert_eq!(d.history(A, Lsn::FIRST, Lsn::NULL).unwrap()[0].trace, Some(99));
     }
 
     #[test]

@@ -44,7 +44,7 @@ use crate::flight::FlightRecorder;
 use crate::provenance::ProvenanceTable;
 use crate::recovery::forward::{apply_record, forward_pass, ForwardStats};
 use crate::recovery::{backward, collect_walk_scopes, terminate_losers, RecoveryReport};
-use crate::reenact::{self, Reenactment, VersionRecord};
+use crate::reenact::{self, Purpose, Reenactment, VersionRecord};
 use crate::sharded::{ShardMap, ShardedDb};
 use crate::txn_table::{TrList, TxnStatus};
 use parking_lot::{Condvar, Mutex};
@@ -418,14 +418,14 @@ impl ReplicaSet {
     /// decisions found in any shard's local log, exactly as the sharded
     /// primary resolves them.
     pub fn read_as_of(&self, ob: ObjectId, as_of: Lsn) -> Result<Value> {
-        let (r, decided) = self.reenact(ob, as_of)?;
+        let (r, decided) = self.reenact(ob, as_of, Purpose::Value)?;
         Ok(r.value_with(|t| decided.contains(&t)))
     }
 
     /// The committed version timeline of `ob` over `[from, to]`,
     /// reenacted from the replica's local log.
     pub fn history(&self, ob: ObjectId, from: Lsn, to: Lsn) -> Result<Vec<VersionRecord>> {
-        let (r, decided) = self.reenact(ob, to)?;
+        let (r, decided) = self.reenact(ob, to, Purpose::History)?;
         Ok(r.versions_with(|t| decided.contains(&t))
             .into_iter()
             .filter(|v| v.lsn >= from)
@@ -436,11 +436,16 @@ impl ReplicaSet {
     /// in-doubt transactions some shard's shipped coordinator decision
     /// commits. Holds no shard lock across the replay — the log handles
     /// are internally synchronized, same as the primary's reenact path.
-    pub fn reenact(&self, ob: ObjectId, as_of: Lsn) -> Result<(Reenactment, BTreeSet<TxnId>)> {
+    pub fn reenact(
+        &self,
+        ob: ObjectId,
+        as_of: Lsn,
+        purpose: Purpose,
+    ) -> Result<(Reenactment, BTreeSet<TxnId>)> {
         let shard = self.map.shard_of(ob);
         let (log, obs) =
             self.with_core(shard, |core| Ok((Arc::clone(&core.log), Arc::clone(&core.obs))))?;
-        let r = reenact::query(&log, &obs, ob, as_of)?;
+        let r = reenact::query(&log, &obs, ob, as_of, purpose)?;
         let in_doubt: Vec<TxnId> = r.in_doubt.iter().map(|d| d.txn).collect();
         let mut logs = Vec::with_capacity(self.shards.len());
         for i in 0..self.shards.len() {

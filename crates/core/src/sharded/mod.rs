@@ -55,7 +55,7 @@ use crate::api::TxnEngine;
 use crate::engine::{DbConfig, RhDb, Strategy};
 use crate::provenance::{ProvHop, ProvenanceTable};
 use crate::recovery::RecoveryReport;
-use crate::reenact::{self, Reenactment, VersionRecord};
+use crate::reenact::{self, Purpose, Reenactment, VersionRecord};
 use parking_lot::Mutex;
 use rh_common::codec::Codec;
 use rh_common::ops::Value;
@@ -1019,7 +1019,7 @@ impl ShardedDb {
     /// checkpoint-carried decision) holds its `CoordCommit` record,
     /// exactly the rule crash recovery applies.
     pub fn read_as_of(&self, ob: ObjectId, as_of: Lsn) -> Result<Value> {
-        let (r, decided) = self.reenact(ob, as_of)?;
+        let (r, decided) = self.reenact(ob, as_of, Purpose::Value)?;
         Ok(r.value_with(|t| decided.contains(&t)))
     }
 
@@ -1027,7 +1027,7 @@ impl ShardedDb {
     /// `[from, to]` on its owning shard, cross-shard in-doubt
     /// transactions resolved as in [`ShardedDb::read_as_of`].
     pub fn history(&self, ob: ObjectId, from: Lsn, to: Lsn) -> Result<Vec<VersionRecord>> {
-        let (r, decided) = self.reenact(ob, to)?;
+        let (r, decided) = self.reenact(ob, to, Purpose::History)?;
         Ok(r.versions_with(|t| decided.contains(&t))
             .into_iter()
             .filter(|v| v.lsn >= from)
@@ -1037,9 +1037,14 @@ impl ShardedDb {
     /// The full reenactment of `ob` at `as_of` on its owning shard, plus
     /// the set of its in-doubt transactions that some shard's durable
     /// coordinator decision commits (empty when nothing was in doubt).
-    pub fn reenact(&self, ob: ObjectId, as_of: Lsn) -> Result<(Reenactment, BTreeSet<TxnId>)> {
+    pub fn reenact(
+        &self,
+        ob: ObjectId,
+        as_of: Lsn,
+        purpose: Purpose,
+    ) -> Result<(Reenactment, BTreeSet<TxnId>)> {
         let cell = &self.shards[self.map.shard_of(ob)];
-        let r = reenact::query(&cell.log, &cell.obs, ob, as_of)?;
+        let r = reenact::query(&cell.log, &cell.obs, ob, as_of, purpose)?;
         let in_doubt: Vec<TxnId> = r.in_doubt.iter().map(|d| d.txn).collect();
         let logs: Vec<&Arc<LogManager>> = self.shards.iter().map(|c| &c.log).collect();
         let decided = coord_decisions_in(&logs, &in_doubt, &self.obs);
@@ -1169,9 +1174,9 @@ impl ShardedDb {
                         // Reenacts on the owning shard's log, stitching
                         // in-doubt 2PC outcomes from every shard's durable
                         // coordinator decisions — no engine mutex anywhere.
-                        let reenact = |ob: ObjectId, lsn: Lsn| {
+                        let reenact = |ob: ObjectId, lsn: Lsn, purpose| {
                             let (log, _, _, obs, _) = &cells[map.shard_of(ob)];
-                            let r = crate::reenact::query(log, obs, ob, lsn)?;
+                            let r = crate::reenact::query(log, obs, ob, lsn, purpose)?;
                             let in_doubt: Vec<TxnId> = r.in_doubt.iter().map(|d| d.txn).collect();
                             let logs: Vec<&Arc<LogManager>> =
                                 cells.iter().map(|(log, _, _, _, _)| log).collect();
@@ -1242,9 +1247,9 @@ impl ShardedDb {
     }
 }
 
-/// Scans every shard's log for coordinator decisions covering `txns`:
-/// durable-or-tail `CoordCommit` records, plus decisions carried in
-/// checkpoint snapshots (whose original records may lie behind a
+/// Looks up, in every shard's log, the coordinator decisions covering
+/// `txns`: durable-or-tail `CoordCommit` records, plus decisions carried
+/// in checkpoint snapshots (whose original records may lie behind a
 /// truncated prefix). This is the same union-of-decisions rule
 /// [`ShardedDb::recover`] applies to in-doubt transactions, evaluated
 /// against the logs alone so reenactment never takes an engine mutex.
@@ -1259,35 +1264,44 @@ pub(crate) fn coord_decisions_in(
     if txns.is_empty() {
         return decided;
     }
-    let want: BTreeSet<TxnId> = txns.iter().copied().collect();
     for log in logs {
-        let last = log.last_lsn();
-        if last.is_null() {
-            continue;
-        }
         // Best-effort per shard: a torn tail on one shard must not hide
         // decisions readable from the others.
-        let _ = log.scan_forward(log.first_lsn(), last, |rec| {
-            match &rec.body {
-                rh_wal::record::RecordBody::CoordCommit { .. } if want.contains(&rec.txn) => {
-                    decided.insert(rec.txn);
-                }
-                rh_wal::record::RecordBody::CheckpointEnd { payload } => {
-                    if let Ok(snap) = crate::checkpoint::CheckpointSnapshot::from_bytes(payload) {
-                        for (txn, _participants) in &snap.coord_decisions {
-                            if want.contains(txn) {
-                                decided.insert(*txn);
-                            }
-                        }
-                    }
-                }
-                _ => {}
-            }
-            Ok(())
-        });
+        let _ = decisions_in(log, txns, &mut decided);
     }
     obs.registry.add(names::M_REENACT_CROSS_SHARD_DECISIONS, decided.len() as u64);
     decided
+}
+
+/// One shard's part of [`coord_decisions_in`], through the log's index:
+/// the transactions' own records first, then — only while some remain
+/// undecided — the retained checkpoints, newest first.
+fn decisions_in(log: &LogManager, txns: &[TxnId], decided: &mut BTreeSet<TxnId>) -> Result<()> {
+    let last = log.last_lsn();
+    if last.is_null() {
+        return Ok(());
+    }
+    for l in log.txn_lsns(txns, log.first_lsn(), last)? {
+        let rec = log.read(l)?;
+        if matches!(rec.body, rh_wal::record::RecordBody::CoordCommit { .. }) {
+            decided.insert(rec.txn);
+        }
+    }
+    let mut below = last;
+    while txns.iter().any(|t| !decided.contains(t)) {
+        let Some(cl) = log.checkpoint_at_or_below(below)? else { break };
+        if let rh_wal::record::RecordBody::CheckpointEnd { payload } = log.read(cl)?.body {
+            if let Ok(snap) = crate::checkpoint::CheckpointSnapshot::from_bytes(&payload) {
+                let carried = snap.coord_decisions.into_iter().map(|(txn, _)| txn);
+                decided.extend(carried.filter(|txn| txns.contains(txn)));
+            }
+        }
+        if cl == Lsn::FIRST {
+            break;
+        }
+        below = cl.prev();
+    }
+    Ok(())
 }
 
 impl TxnEngine for ShardedDb {

@@ -128,14 +128,21 @@ pub const M_RECOVERY_FIRST_ACK_US: &str = "recovery.first_ack_us";
 
 /// Reenactment queries answered (`read_as_of` + `history`).
 pub const M_REENACT_QUERIES: &str = "reenact.queries";
-/// Log records visited by reenactment replays (seek + replay + pre-seed
-/// reconstruction).
+/// Log records read by reenactment queries (seed checkpoint, the
+/// object's own records and its transactions' outcome records, pre-seed
+/// reconstruction); index ingest is counted separately.
 pub const M_REENACT_RECORDS: &str = "reenact.records_scanned";
 /// Replays that seeded from a checkpoint value overlay (the rest
 /// replayed from the log's first record).
 pub const M_REENACT_SEEDED: &str = "reenact.checkpoint_seeded";
 /// Committed versions returned by reenactment queries.
 pub const M_REENACT_VERSIONS: &str = "reenact.versions";
+/// Log records read into the time-travel index (each record once per
+/// log incarnation; queries ingest only up to the LSN they ask about).
+pub const M_REENACT_INDEX_INGESTED: &str = "reenact.index.ingested";
+/// Gauge: LSNs the time-travel index currently holds across its
+/// per-object, per-transaction and checkpoint lists.
+pub const M_REENACT_INDEX_ENTRIES: &str = "reenact.index.entries";
 /// In-doubt transactions a reenactment resolved against another shard's
 /// durable coordinator decision (cross-shard history stitching).
 pub const M_REENACT_CROSS_SHARD_DECISIONS: &str = "reenact.cross_shard_decisions";
@@ -384,6 +391,9 @@ pub const LS_WAL_APPEND: &str = "wal.append";
 pub const LS_WAL_RECORDS: &str = "wal.records";
 /// The in-memory log backend's truncation base.
 pub const LS_WAL_BASE: &str = "wal.base";
+/// The log's time-travel index (ingest + lookups; taken before any
+/// other log lock).
+pub const LS_WAL_INDEX: &str = "wal.index";
 /// A shard's engine mutex (ranked: the router may hold several in
 /// ascending shard order).
 pub const LS_CORE_ENGINE: &str = "core.engine";

@@ -216,12 +216,17 @@ impl Tracer {
 
     /// Emits a phase-timer point: a measured sub-phase of one request,
     /// `payload` = duration in microseconds, `lsn_lo` = the
-    /// client-assigned trace id (or [`NONE`]). Phases are points rather
-    /// than retroactive spans because [`Tracer::push`] stamps timestamps
+    /// client-assigned trace id. Phases are points rather than
+    /// retroactive spans because [`Tracer::push`] stamps timestamps
     /// inside the ring lock — a span cannot be back-dated to the phase's
     /// true start. Consumers stitch phases into waterfalls by
-    /// `(trace, txn)`.
+    /// `(trace, txn)`, so an untraced request (`trace == NONE`) records
+    /// nothing: no consumer could stitch its points, and at load they
+    /// would wrap the ring. Its phase histograms are fed separately.
     pub fn phase(&self, name: &'static str, txn: u64, trace: u64, micros: u64) {
+        if trace == NONE {
+            return;
+        }
         self.push(TraceEvent {
             ts_micros: 0,
             span: 0,
@@ -262,8 +267,18 @@ impl Tracer {
     /// order, with no events from concurrent writers interleaved out of
     /// time order.
     pub fn snapshot(&self) -> TraceSnapshot {
+        self.tail(usize::MAX)
+    }
+
+    /// Captures the newest `n` events (oldest first), copying only those;
+    /// `dropped` also counts the older retained events left out.
+    pub fn tail(&self, n: usize) -> TraceSnapshot {
         let ring = self.ring.lock().expect("tracer ring poisoned");
-        TraceSnapshot { events: ring.buf.iter().copied().collect(), dropped: ring.dropped }
+        let skip = ring.buf.len().saturating_sub(n);
+        TraceSnapshot {
+            events: ring.buf.range(skip..).copied().collect(),
+            dropped: ring.dropped + skip as u64,
+        }
     }
 
     /// Discards all retained events (capacity and epoch are kept).
@@ -379,6 +394,30 @@ mod tests {
         assert_eq!(e.txn, 7);
         assert_eq!(e.lsn_lo, 99); // trace id rides in lsn_lo
         assert_eq!(e.payload, 1234); // duration in micros
+    }
+
+    #[test]
+    fn untraced_phases_stay_out_of_the_ring() {
+        let t = Tracer::default();
+        t.phase("phase.queue_wait", 7, NONE, 1234);
+        assert!(t.snapshot().events.is_empty());
+        t.phase("phase.queue_wait", 7, 99, 1234);
+        assert_eq!(t.snapshot().events.len(), 1);
+    }
+
+    #[test]
+    fn tail_copies_only_the_newest_events() {
+        let t = Tracer::with_capacity(8);
+        for i in 0..10u64 {
+            t.point("e", i, i, NONE, 0);
+        }
+        let tail = t.tail(3);
+        let lsns: Vec<u64> = tail.events.iter().map(|e| e.lsn_lo).collect();
+        assert_eq!(lsns, vec![7, 8, 9]);
+        // 2 evicted by the ring plus 5 retained but left out.
+        assert_eq!(tail.dropped, 7);
+        assert_eq!(t.tail(100).events.len(), 8);
+        assert_eq!(t.tail(100).dropped, 2);
     }
 
     #[test]

@@ -25,6 +25,7 @@ use parking_lot::{Condvar, Mutex};
 use rh_common::ops::Value;
 use rh_common::{Lsn, ObjectId, Result, RhError, TxnId};
 use rh_core::engine::RhDb;
+use rh_core::reenact::Purpose;
 use rh_core::replica::ReplicaSet;
 use rh_core::sharded::ShardedDb;
 use rh_etm::EtmSession;
@@ -435,7 +436,7 @@ impl Backend {
     pub(crate) fn read_as_of(&self, ob: ObjectId, as_of: Lsn, obs: &Arc<Obs>) -> Result<Value> {
         match self {
             Backend::Single { log, .. } => {
-                let r = rh_core::reenact::query(log, obs, ob, as_of)?;
+                let r = rh_core::reenact::query(log, obs, ob, as_of, Purpose::Value)?;
                 Ok(r.value())
             }
             Backend::Sharded(db) => db.read_as_of(ob, as_of),
@@ -455,15 +456,15 @@ impl Backend {
     ) -> Result<String> {
         match self {
             Backend::Single { log, .. } => {
-                let r = rh_core::reenact::query(log, obs, ob, to)?;
+                let r = rh_core::reenact::query(log, obs, ob, to, Purpose::History)?;
                 Ok(r.to_json_range(from, r.as_of, |_| false).render_pretty())
             }
             Backend::Sharded(db) => {
-                let (r, decided) = db.reenact(ob, to)?;
+                let (r, decided) = db.reenact(ob, to, Purpose::History)?;
                 Ok(r.to_json_range(from, r.as_of, |t| decided.contains(&t)).render_pretty())
             }
             Backend::Replica(set) => {
-                let (r, decided) = set.reenact(ob, to)?;
+                let (r, decided) = set.reenact(ob, to, Purpose::History)?;
                 Ok(r.to_json_range(from, r.as_of, |t| decided.contains(&t)).render_pretty())
             }
         }

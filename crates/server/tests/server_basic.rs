@@ -47,7 +47,12 @@ fn read_hello(stream: &mut TcpStream) -> Hello {
 
 /// One blocking round trip over a raw socket.
 fn call(stream: &mut TcpStream, id: u64, op: Op) -> Reply {
-    wire::write_frame(stream, &Request { id, trace: wire::NO_TRACE, op }.to_bytes()).expect("send");
+    call_traced(stream, id, op, wire::NO_TRACE)
+}
+
+/// [`call`] carrying a client-assigned trace id.
+fn call_traced(stream: &mut TcpStream, id: u64, op: Op, trace: u64) -> Reply {
+    wire::write_frame(stream, &Request { id, trace, op }.to_bytes()).expect("send");
     let payload = wire::read_frame(stream).expect("reply frame").expect("reply present");
     let resp = Response::from_bytes(&payload).expect("reply decodes");
     assert_eq!(resp.id, id, "reply correlation");
@@ -289,5 +294,38 @@ fn stats_flow_through_wire_and_introspection_alike() {
     http.read_to_string(&mut raw).expect("http receive");
     assert!(raw.contains("server.sessions.opened"), "introspection must carry server.*");
     assert!(raw.contains("server.commits"));
+    let _db = server.shutdown().expect("drain");
+}
+
+#[test]
+fn only_traced_requests_leave_phase_points() {
+    let db = RhDb::new(Strategy::Rh);
+    let obs = std::sync::Arc::clone(db.obs());
+    let server = Server::bind("127.0.0.1:0", db, ServerConfig::default()).expect("bind");
+    let mut c = connect(server.local_addr());
+    // A session records a request's phases and histograms after sending
+    // its reply; a ping's reply orders that work before the reads here.
+    let phase_traces = |c: &mut TcpStream, id: u64| -> Vec<u64> {
+        assert_eq!(call(c, id, Op::Ping), Reply::Ok(ReplyBody::Unit));
+        let snap = obs.tracer.snapshot();
+        snap.events.iter().filter(|e| e.name.starts_with("phase.")).map(|e| e.lsn_lo).collect()
+    };
+
+    let t = ok_txn(call(&mut c, 1, Op::Begin));
+    assert_eq!(call(&mut c, 2, Op::Write(t, ObjectId(1), 1)), Reply::Ok(ReplyBody::Unit));
+    assert_eq!(call(&mut c, 3, Op::Commit(t)), Reply::Ok(ReplyBody::Unit));
+    assert!(phase_traces(&mut c, 4).is_empty(), "untraced requests must not fill the ring");
+
+    const TRACE: u64 = 77;
+    let t = ok_txn(call_traced(&mut c, 5, Op::Begin, TRACE));
+    let w = call_traced(&mut c, 6, Op::Write(t, ObjectId(1), 2), TRACE);
+    assert_eq!(w, Reply::Ok(ReplyBody::Unit));
+    assert_eq!(call_traced(&mut c, 7, Op::Commit(t), TRACE), Reply::Ok(ReplyBody::Unit));
+    let traced = phase_traces(&mut c, 8);
+    assert!(!traced.is_empty(), "a traced request keeps its phase points");
+    assert!(traced.iter().all(|&id| id == TRACE), "{traced:?}");
+
+    // Both commits still feed the phase histograms.
+    assert_eq!(obs.registry.snapshot().histogram(rh_obs::names::M_SRV_FLUSH_US).count, 2);
     let _db = server.shutdown().expect("drain");
 }

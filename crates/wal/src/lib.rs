@@ -16,7 +16,10 @@
 //! * [`chain`] — walkers for per-transaction **backward chains** (paper
 //!   Fig. 4), including the two-pointer branching at delegate records;
 //! * [`metrics`] — counters for the access-pattern arguments of §4.2
-//!   (records read, non-sequential seeks, in-place rewrites, flushes).
+//!   (records read, non-sequential seeks, in-place rewrites, flushes);
+//! * a lazily built per-object / per-transaction / checkpoint LSN index
+//!   behind the log manager's time-travel lookups
+//!   ([`log::LogManager::object_lsns`] and friends).
 //!
 //! LSNs are dense record indices (see `rh_common::Lsn`), so the paper's
 //! `K <- K - 1` backward sweep is implemented literally.
@@ -33,6 +36,7 @@
 pub mod chain;
 pub mod filelog;
 pub mod frame;
+mod index;
 pub mod io;
 pub mod log;
 pub mod metrics;

@@ -35,14 +35,23 @@
 //! followers whose records that sync made durable return without syncing
 //! — N concurrent commits cost one `fdatasync`, not N. The mem backend's
 //! sync is a no-op, so the same code path serves both.
+//!
+//! ## Time-travel index
+//!
+//! [`LogManager::checkpoint_at_or_below`], [`LogManager::object_lsns`] and
+//! [`LogManager::txn_lsns`] answer from a secondary index (per-object,
+//! per-transaction and checkpoint LSN lists) that these lookups build
+//! themselves, ingesting the log only up to the LSN they ask about. The
+//! write path never touches it.
 
 use crate::filelog::{AppendOut, FileLogConfig, OpenReport, SegmentedFileLog};
+use crate::index::LogIndex;
 use crate::io::WalIo;
 use crate::metrics::LogMetrics;
 use crate::record::{LogRecord, RecordBody};
 use parking_lot::{Condvar, Mutex};
 use rh_common::codec::Codec;
-use rh_common::{Lsn, Result, RhError, TxnId};
+use rh_common::{Lsn, ObjectId, Result, RhError, TxnId};
 use rh_obs::names;
 use std::sync::Arc;
 
@@ -312,6 +321,9 @@ pub struct LogManager {
     inner: Mutex<Inner>,
     sync_state: Mutex<SyncState>,
     sync_cv: Condvar,
+    /// Built lazily by the time-travel lookups; always the outermost log
+    /// lock (ingest reads records under it).
+    index: Mutex<LogIndex>,
     metrics: Arc<LogMetrics>,
 }
 
@@ -336,6 +348,7 @@ impl LogManager {
                 names::LS_WAL_SYNC_STATE,
             ),
             sync_cv: Condvar::new(),
+            index: Mutex::named(LogIndex::default(), names::LS_WAL_INDEX),
             metrics: Arc::new(LogMetrics::default()),
         }
     }
@@ -429,7 +442,11 @@ impl LogManager {
         }
         // Clamp to the horizon so the volatile tail can never be dropped.
         let upto = upto.raw().min(self.stable.horizon());
-        self.stable.truncate_prefix(Lsn(upto))
+        let dropped = self.stable.truncate_prefix(Lsn(upto))?;
+        let mut index = self.index.lock();
+        index.prune(self.first_lsn());
+        self.metrics.record_index(0, index.entries());
+        Ok(dropped)
     }
 
     /// Appends a record, assigning and returning its LSN.
@@ -559,6 +576,14 @@ impl LogManager {
     /// rewrites do, since they edit fixed-width fields.
     pub fn rewrite_in_place(&self, lsn: Lsn, f: impl FnOnce(&mut LogRecord)) -> Result<()> {
         self.metrics.record_rewrite(lsn.raw());
+        let out = self.rewrite_record(lsn, f);
+        // The index may hold the record's old form: start it over.
+        *self.index.lock() = LogIndex::default();
+        self.metrics.record_index(0, 0);
+        out
+    }
+
+    fn rewrite_record(&self, lsn: Lsn, f: impl FnOnce(&mut LogRecord)) -> Result<()> {
         {
             let mut inner = self.inner.lock();
             let horizon = self.stable.horizon();
@@ -599,6 +624,66 @@ impl LogManager {
             lsn = lsn.next();
         }
         Ok(())
+    }
+
+    /// Ingests every record through `upto` (clamped to the last record)
+    /// into the index, then runs `f` on it under the index lock. A read
+    /// error stops the ingest where it failed and is returned; the next
+    /// lookup resumes there.
+    fn indexed<R>(&self, upto: Lsn, f: impl FnOnce(&LogIndex) -> R) -> Result<R> {
+        let mut index = self.index.lock();
+        // `Lsn::NULL` sorts last, so it means the tail.
+        if upto.raw() >= index.next() {
+            // Exclusive bound.
+            let end = match self.last_lsn() {
+                last if last.is_null() => 0,
+                last => upto.min(last).raw() + 1,
+            };
+            let mut lsn = index.next().max(self.stable.base());
+            let mut ingested = 0;
+            let mut failed = None;
+            while lsn < end {
+                match self.read(Lsn(lsn)) {
+                    Ok(rec) => index.add(&rec),
+                    Err(e) => {
+                        failed = Some(e);
+                        break;
+                    }
+                }
+                ingested += 1;
+                lsn += 1;
+            }
+            self.metrics.record_index(ingested, index.entries());
+            if let Some(e) = failed {
+                return Err(e);
+            }
+        }
+        Ok(f(&index))
+    }
+
+    /// The newest retained `CheckpointEnd` at or below `lsn`, if any.
+    pub fn checkpoint_at_or_below(&self, lsn: Lsn) -> Result<Option<Lsn>> {
+        let first = self.first_lsn();
+        Ok(self.indexed(lsn, |ix| ix.checkpoint_at_or_below(lsn))?.filter(|&c| c >= first))
+    }
+
+    /// LSNs in `[lo, hi]`, ascending, of the records about `ob`: its
+    /// updates and CLRs, and the delegations whose object list names it.
+    pub fn object_lsns(&self, ob: ObjectId, lo: Lsn, hi: Lsn) -> Result<Vec<Lsn>> {
+        self.indexed(hi, |ix| ix.object(ob, lo, hi).to_vec())
+    }
+
+    /// LSNs in `[lo, hi]`, ascending, of the transaction-scoped records
+    /// of `txns`: commit, coordinator commit, abort, prepare and end
+    /// records, and the whole-list (`Delegate{All}`) delegations each
+    /// issued.
+    pub fn txn_lsns(&self, txns: &[TxnId], lo: Lsn, hi: Lsn) -> Result<Vec<Lsn>> {
+        self.indexed(hi, |ix| {
+            let mut out: Vec<Lsn> = txns.iter().flat_map(|&t| ix.txn(t, lo, hi)).copied().collect();
+            out.sort_unstable();
+            out.dedup();
+            out
+        })
     }
 
     /// Simulates a crash: the volatile tail is dropped. Returns the stable
@@ -834,6 +919,63 @@ mod tests {
         log.read(Lsn(9)).unwrap();
         log.read(Lsn(2)).unwrap();
         assert_eq!(log.metrics().snapshot().seeks, 2); // 0->9 and 9->2
+    }
+
+    // ---- the time-travel index ----------------------------------------
+
+    #[test]
+    fn index_ingests_lazily_up_to_the_asked_lsn() {
+        let log = LogManager::new();
+        for i in 0..6 {
+            log.append(TxnId(1), Lsn::NULL, upd(i % 2));
+        }
+        log.append(TxnId(1), Lsn::NULL, RecordBody::Commit);
+        log.flush_all().unwrap();
+        // Appends and flushes index nothing.
+        assert_eq!(log.metrics().snapshot().index_ingested, 0);
+        assert_eq!(log.object_lsns(ObjectId(0), Lsn(0), Lsn(3)).unwrap(), vec![Lsn(0), Lsn(2)]);
+        assert_eq!(log.metrics().snapshot().index_ingested, 4);
+        // A target below the ingest mark reads nothing new.
+        assert_eq!(log.object_lsns(ObjectId(1), Lsn(0), Lsn(1)).unwrap(), vec![Lsn(1)]);
+        assert_eq!(log.metrics().snapshot().index_ingested, 4);
+        assert_eq!(log.txn_lsns(&[TxnId(1)], Lsn(0), Lsn::NULL).unwrap(), vec![Lsn(6)]);
+        let snap = log.metrics().snapshot();
+        assert_eq!((snap.index_ingested, snap.index_entries), (7, 7));
+    }
+
+    #[test]
+    fn index_on_an_empty_log_is_empty() {
+        let log = LogManager::new();
+        assert!(log.object_lsns(ObjectId(0), Lsn(0), Lsn(5)).unwrap().is_empty());
+        assert_eq!(log.checkpoint_at_or_below(Lsn::NULL).unwrap(), None);
+    }
+
+    #[test]
+    fn index_skips_checkpoints_below_the_truncation_point() {
+        let log = LogManager::new();
+        let end = || RecordBody::CheckpointEnd { payload: Vec::new() };
+        log.append(TxnId::NONE, Lsn::NULL, end());
+        log.append(TxnId(1), Lsn::NULL, upd(0));
+        log.append(TxnId::NONE, Lsn::NULL, end());
+        log.flush_all().unwrap();
+        assert_eq!(log.checkpoint_at_or_below(Lsn(1)).unwrap(), Some(Lsn(0)));
+        log.truncate_prefix(Lsn(1)).unwrap();
+        assert_eq!(log.checkpoint_at_or_below(Lsn(1)).unwrap(), None);
+        assert_eq!(log.checkpoint_at_or_below(Lsn(2)).unwrap(), Some(Lsn(2)));
+        assert_eq!(log.metrics().snapshot().index_entries, 2);
+    }
+
+    #[test]
+    fn index_resets_after_rewrite_in_place() {
+        let log = LogManager::new();
+        log.append(TxnId(1), Lsn::NULL, upd(0));
+        log.append(TxnId(1), Lsn::NULL, upd(0));
+        log.flush_all().unwrap();
+        assert_eq!(log.object_lsns(ObjectId(0), Lsn(0), Lsn(1)).unwrap().len(), 2);
+        log.rewrite_in_place(Lsn(1), |rec| rec.body = upd(5)).unwrap();
+        assert_eq!(log.metrics().snapshot().index_entries, 0);
+        assert_eq!(log.object_lsns(ObjectId(0), Lsn(0), Lsn(1)).unwrap(), vec![Lsn(0)]);
+        assert_eq!(log.object_lsns(ObjectId(5), Lsn(0), Lsn(1)).unwrap(), vec![Lsn(1)]);
     }
 
     // ---- file-backed backend through the same LogManager API ----------

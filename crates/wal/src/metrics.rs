@@ -16,7 +16,10 @@
 //!   at zero by construction, and tests assert it;
 //! * `fsyncs` / `bytes_flushed` — physical durability cost of the
 //!   file-backed log (both stay 0 on the in-memory backend). With group
-//!   commit, `fsyncs` can be far below `flushes` under concurrency.
+//!   commit, `fsyncs` can be far below `flushes` under concurrency;
+//! * `index_ingested` / `index_entries` — records the time-travel index
+//!   has read (each once), and the LSNs it currently holds (a gauge; see
+//!   [`crate::LogManager::object_lsns`]).
 
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 
@@ -31,6 +34,8 @@ pub struct LogMetrics {
     in_place_rewrites: AtomicU64,
     fsyncs: AtomicU64,
     bytes_flushed: AtomicU64,
+    index_ingested: AtomicU64,
+    index_entries: AtomicU64,
     /// Raw LSN of the last record touched (append/read/rewrite), or -1.
     last_pos: AtomicI64,
 }
@@ -46,6 +51,8 @@ impl Default for LogMetrics {
             in_place_rewrites: AtomicU64::new(0),
             fsyncs: AtomicU64::new(0),
             bytes_flushed: AtomicU64::new(0),
+            index_ingested: AtomicU64::new(0),
+            index_entries: AtomicU64::new(0),
             last_pos: AtomicI64::new(-1),
         }
     }
@@ -70,6 +77,10 @@ pub struct LogMetricsSnapshot {
     pub fsyncs: u64,
     /// Bytes of encoded frames written to stable storage.
     pub bytes_flushed: u64,
+    /// Records ingested into the time-travel index.
+    pub index_ingested: u64,
+    /// LSNs the time-travel index holds now (a gauge).
+    pub index_entries: u64,
 }
 
 impl LogMetrics {
@@ -117,6 +128,13 @@ impl LogMetrics {
         }
     }
 
+    pub(crate) fn record_index(&self, ingested: u64, entries: u64) {
+        if ingested > 0 {
+            self.index_ingested.fetch_add(ingested, Ordering::Relaxed);
+        }
+        self.index_entries.store(entries, Ordering::Relaxed);
+    }
+
     /// Takes a snapshot for reporting.
     pub fn snapshot(&self) -> LogMetricsSnapshot {
         LogMetricsSnapshot {
@@ -128,10 +146,13 @@ impl LogMetrics {
             in_place_rewrites: self.in_place_rewrites.load(Ordering::Relaxed),
             fsyncs: self.fsyncs.load(Ordering::Relaxed),
             bytes_flushed: self.bytes_flushed.load(Ordering::Relaxed),
+            index_ingested: self.index_ingested.load(Ordering::Relaxed),
+            index_entries: self.index_entries.load(Ordering::Relaxed),
         }
     }
 
-    /// Resets all counters (used between benchmark phases).
+    /// Resets all counters (used between benchmark phases). The index
+    /// gauge keeps describing the live index.
     pub fn reset(&self) {
         self.appends.store(0, Ordering::Relaxed);
         self.flushes.store(0, Ordering::Relaxed);
@@ -141,13 +162,15 @@ impl LogMetrics {
         self.in_place_rewrites.store(0, Ordering::Relaxed);
         self.fsyncs.store(0, Ordering::Relaxed);
         self.bytes_flushed.store(0, Ordering::Relaxed);
+        self.index_ingested.store(0, Ordering::Relaxed);
         self.last_pos.store(-1, Ordering::Relaxed);
     }
 }
 
 impl LogMetricsSnapshot {
     /// Absorbs this snapshot into a unified [`rh_obs::Registry`] under
-    /// the `log.*` prefix (absolute values; re-absorption overwrites).
+    /// the `log.*` prefix, and the index figures under `reenact.index.*`
+    /// (absolute values; re-absorption overwrites).
     pub fn export_into(&self, registry: &rh_obs::Registry) {
         use rh_obs::names;
         registry.set(names::M_LOG_APPENDS, self.appends);
@@ -158,9 +181,12 @@ impl LogMetricsSnapshot {
         registry.set(names::M_LOG_IN_PLACE_REWRITES, self.in_place_rewrites);
         registry.set(names::M_LOG_FSYNCS, self.fsyncs);
         registry.set(names::M_LOG_BYTES_FLUSHED, self.bytes_flushed);
+        registry.set(names::M_REENACT_INDEX_INGESTED, self.index_ingested);
+        registry.set(names::M_REENACT_INDEX_ENTRIES, self.index_entries);
     }
 
-    /// Difference since an earlier snapshot (for per-phase reporting).
+    /// Difference since an earlier snapshot (for per-phase reporting);
+    /// the index gauge keeps this snapshot's value.
     pub fn since(&self, earlier: &LogMetricsSnapshot) -> LogMetricsSnapshot {
         LogMetricsSnapshot {
             appends: self.appends - earlier.appends,
@@ -171,6 +197,8 @@ impl LogMetricsSnapshot {
             in_place_rewrites: self.in_place_rewrites - earlier.in_place_rewrites,
             fsyncs: self.fsyncs - earlier.fsyncs,
             bytes_flushed: self.bytes_flushed - earlier.bytes_flushed,
+            index_ingested: self.index_ingested - earlier.index_ingested,
+            index_entries: self.index_entries,
         }
     }
 }
