@@ -1047,8 +1047,8 @@ fn extract_body(
         let sink = SinkClass::of(&t.text);
         let held_now = snapshot(&held);
         // Socket-send exclusion: the guard *of the socket itself* is
-        // expected around a send (`server.out` is the write-half
-        // mutex). Drop the receiver's own guard: by binder name, or —
+        // expected around a send (a write-half mutex keeps frames
+        // whole). Drop the receiver's own guard: by binder name, or —
         // for the chained `x.lock().write_all(..)` shape — by site.
         let sink_held = if sink == Some(SinkClass::Send) && method {
             let mut dropped: Vec<String> = Vec::new();

@@ -95,10 +95,10 @@ pub type Result<T> = std::result::Result<T, ClientError>;
 
 /// One session with an `rh-server`: a blocking request/reply handle.
 ///
-/// [`Connection::call`] keeps one request outstanding; the raw
-/// [`Connection::send`] / [`Connection::recv`] pair exposes pipelining
-/// (used by the backpressure tests and the load generator's pipelined
-/// mode).
+/// [`Connection::call`] keeps one request outstanding, as every client
+/// in this workspace does; the raw [`Connection::send`] /
+/// [`Connection::recv`] pair exposes pipelining up to the hello's
+/// in-flight cap.
 #[derive(Debug)]
 pub struct Connection {
     stream: TcpStream,

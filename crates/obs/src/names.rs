@@ -67,8 +67,9 @@ pub const EV_PAGES_REDONE: &str = "pages_redone";
 // the phase actually began. `rh-trace` stitches them into waterfalls by
 // (trace id, txn).
 
-/// Time a decoded request waited in the per-connection pipeline queue
-/// before a worker picked it up.
+/// Time a decoded request waited in its session's queue before the
+/// session started executing it (about 0 for a client with one request
+/// outstanding; pipelined requests wait for the ones ahead of them).
 pub const PH_QUEUE_WAIT: &str = "phase.queue_wait";
 /// Engine-mutex phase of a single-engine commit: mutex acquisition plus
 /// ETM bookkeeping, *excluding* `commit_prepare` (reported separately so
@@ -375,8 +376,6 @@ pub const LS_SERVER_SESSIONS: &str = "server.sessions";
 pub const LS_SERVER_REAPERS: &str = "server.reapers";
 /// The server's stop flag (condvar-coupled).
 pub const LS_SERVER_STOP_FLAG: &str = "server.stop_flag";
-/// A connection's socket write half (frame atomicity).
-pub const LS_SERVER_OUT: &str = "server.out";
 /// The segmented file log's segment map + active segment.
 pub const LS_WAL_STATE: &str = "wal.state";
 /// The master (checkpoint) record cell.

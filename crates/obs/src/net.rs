@@ -3,10 +3,12 @@
 //! Two services in this workspace accept TCP connections: the read-only
 //! introspection endpoint ([`crate::serve::IntrospectionServer`]) and the
 //! transaction front-end (`rh-server`). Both need the same boring —
-//! and easy to get subtly wrong — accept-loop skeleton: bind, flip the
-//! listener non-blocking so shutdown is prompt, poll-accept on a named
-//! background thread, and stop cleanly on a shared flag. [`TcpService`]
-//! is that skeleton, extracted so there is exactly one of it.
+//! and easy to get subtly wrong — accept-loop skeleton: bind, accept
+//! on a named background thread, and stop cleanly on a shared flag.
+//! The accept blocks, so a new connection is handed over the moment it
+//! arrives; shutdown sets the flag and then wakes the loop with a
+//! connection of its own. [`TcpService`] is that skeleton, extracted so
+//! there is exactly one of it.
 //!
 //! The service owns *only* the accept loop. What happens to an accepted
 //! stream is the embedder's `on_conn` callback: the introspection server
@@ -15,15 +17,15 @@
 //! callback is the embedder's responsibility — the loop itself never
 //! panics.
 
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// How long the accept loop sleeps when no connection is pending. Bounds
-/// shutdown latency; small enough to be invisible next to any fsync.
-const ACCEPT_POLL: Duration = Duration::from_millis(10);
+/// How long the accept loop backs off after a failed accept (out of
+/// file descriptors, say), so a persistent error does not spin a core.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
 
 /// Callback invoked (on the accept thread) for every accepted stream.
 pub type OnConn = Box<dyn Fn(TcpStream) + Send + 'static>;
@@ -46,7 +48,6 @@ impl TcpService {
     /// accepted stream is passed to `on_conn`.
     pub fn bind(addr: &str, name: &str, on_conn: OnConn) -> std::io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let local = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
         let stop_flag = Arc::clone(&stop);
@@ -71,6 +72,16 @@ impl TcpService {
     pub fn shutdown(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
         if let Some(t) = self.thread.take() {
+            // Wake the blocked accept; the loop sees the flag and drops
+            // this connection unserved. An unspecified bind address
+            // (`0.0.0.0`, `::`) is reached through loopback.
+            let mut wake = self.addr;
+            match wake.ip() {
+                IpAddr::V4(ip) if ip.is_unspecified() => wake.set_ip(Ipv4Addr::LOCALHOST.into()),
+                IpAddr::V6(ip) if ip.is_unspecified() => wake.set_ip(Ipv6Addr::LOCALHOST.into()),
+                _ => {}
+            }
+            let _ = TcpStream::connect(wake);
             let _ = t.join();
         }
     }
@@ -83,13 +94,14 @@ impl Drop for TcpService {
 }
 
 fn accept_loop(listener: TcpListener, on_conn: OnConn, stop: Arc<AtomicBool>) {
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        if stop.load(Ordering::SeqCst) {
+            return;
+        }
+        match accepted {
             Ok((stream, _)) => on_conn(stream),
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_POLL);
-            }
-            Err(_) => std::thread::sleep(ACCEPT_POLL),
+            Err(_) => std::thread::sleep(ACCEPT_BACKOFF),
         }
     }
 }
@@ -120,6 +132,38 @@ mod tests {
             assert_eq!(&buf, b"hi");
         }
         assert_eq!(hits.load(Ordering::SeqCst), 3);
+    }
+
+    #[test]
+    fn a_new_connection_is_served_without_waiting_for_a_poll() {
+        let service = TcpService::bind(
+            "127.0.0.1:0",
+            "test-prompt",
+            Box::new(|mut s: TcpStream| {
+                let _ = s.write_all(b"!");
+            }),
+        )
+        .expect("bind");
+        let mut waits: Vec<Duration> = (0..20)
+            .map(|_| {
+                let sw = crate::Stopwatch::start();
+                let mut c = TcpStream::connect(service.local_addr()).expect("connect");
+                let mut buf = [0u8; 1];
+                c.read_exact(&mut buf).expect("first byte");
+                sw.elapsed()
+            })
+            .collect();
+        waits.sort();
+        let median = waits[waits.len() / 2];
+        assert!(median < Duration::from_millis(2), "median connect to first byte: {median:?}");
+    }
+
+    #[test]
+    fn shutdown_wakes_a_listener_bound_to_the_unspecified_address() {
+        let mut service =
+            TcpService::bind("0.0.0.0:0", "test-any", Box::new(|_s| {})).expect("bind");
+        service.shutdown();
+        assert!(service.is_stopped());
     }
 
     #[test]

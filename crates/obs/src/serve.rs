@@ -123,7 +123,6 @@ fn handle_connection(
     endpoints: &[String],
     handler: &Handler,
 ) -> std::io::Result<()> {
-    stream.set_nonblocking(false)?;
     stream.set_read_timeout(Some(Duration::from_millis(500)))?;
 
     let mut buf = [0u8; MAX_REQUEST_BYTES];

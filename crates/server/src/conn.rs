@@ -1,17 +1,20 @@
-//! Per-connection machinery: admission, the frame-reader thread, the
-//! op-worker thread, and operation execution.
+//! Per-connection machinery: admission, the session thread, and
+//! operation execution.
 //!
-//! Each admitted socket gets exactly two threads:
+//! Each admitted socket gets exactly one thread. It reads a request,
+//! executes it and writes the reply (tagged with the request's id),
+//! in arrival order. Reads are buffered, so a pipelined burst arrives
+//! at once: each time the session reads, it queues every whole frame
+//! already received, up to the advertised in-flight cap, and answers
+//! the frames past the cap with [`Reply::Busy`] — explicit
+//! backpressure instead of unbounded queueing. When the stream ends
+//! (peer gone, idle timeout, garbage, drain) the session still runs
+//! what it queued, then aborts its still-open transactions and
+//! deregisters.
 //!
-//! * the **reader** decodes frames into [`Request`]s and feeds a
-//!   bounded channel (capacity = the advertised in-flight cap). A full
-//!   channel bounces the request with [`Reply::Busy`] *immediately* —
-//!   explicit backpressure instead of unbounded queueing;
-//! * the **worker** executes requests in arrival order and writes each
-//!   reply (tagged with the request's id) through the shared write
-//!   half. When the channel closes (peer gone, idle timeout, drain) the
-//!   worker aborts the session's still-open transactions and
-//!   deregisters it.
+//! A `ReplSubscribe` turns the session thread into the ship loop, the
+//! socket's only writer; one extra thread then reads the subscriber's
+//! acks for it.
 //!
 //! Commits are two-phase against the engine mutex: prepare (append
 //! commit record, release locks) happens under it, the durable force
@@ -21,19 +24,19 @@
 
 use crate::server::Shared;
 use crate::wire::{self, errcode, Hello, Op, ReplMsg, Reply, ReplyBody, Request, Response};
-use parking_lot::Mutex;
 use rh_common::codec::Codec;
 use rh_common::ops::Value;
 use rh_common::{Lsn, Result, TxnId};
 use rh_obs::{names, Stopwatch};
-use rh_wal::LogManager;
-use std::net::TcpStream;
+use rh_wal::{frame, LogManager};
+use std::collections::VecDeque;
+use std::io::BufReader;
+use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::Ordering;
-use std::sync::mpsc::{Receiver, TryRecvError, TrySendError};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Handles one freshly accepted socket: admission, hello, threads.
+/// Handles one freshly accepted socket: admission, hello, thread.
 /// Runs on the accept thread, so everything here is non-blocking or
 /// bounded (the hello write is one small frame to a just-connected
 /// peer).
@@ -46,7 +49,7 @@ pub(crate) fn accept(shared: &Arc<Shared>, stream: TcpStream) {
     // waiting for the client's delayed ACK, turning every round trip
     // into a potential 40ms stall.
     let _ = stream.set_nodelay(true);
-    let (Ok(table_half), Ok(write_half)) = (stream.try_clone(), stream.try_clone()) else {
+    let Ok(table_half) = stream.try_clone() else {
         return;
     };
     let admitted = {
@@ -59,45 +62,23 @@ pub(crate) fn accept(shared: &Arc<Shared>, stream: TcpStream) {
     };
     let hello =
         Hello { accepted: true, session: sid, inflight_cap: shared.cfg.inflight_per_conn as u32 };
-    let mut write_half = write_half;
-    if wire::write_frame(&mut write_half, &hello.to_bytes()).is_err() {
+    if wire::write_frame(&mut &stream, &hello.to_bytes()).is_err() {
         close_session(shared, sid);
         return;
     }
     shared.obs.registry.inc(names::M_SRV_SESSIONS_OPENED);
     shared.session_gauge();
 
-    let out = Arc::new(Mutex::named(write_half, names::LS_SERVER_OUT));
-    let (tx, rx) =
-        std::sync::mpsc::sync_channel::<(Request, Stopwatch)>(shared.cfg.inflight_per_conn.max(1));
-    let worker = {
+    let session = {
         let shared = Arc::clone(shared);
-        let out = Arc::clone(&out);
         std::thread::Builder::new()
-            .name(format!("rh-serve-w{sid}"))
-            .spawn(move || worker_loop(&shared, sid, &rx, &out))
+            .name(format!("rh-serve-s{sid}"))
+            .spawn(move || session_loop(&shared, sid, stream))
     };
-    let Ok(worker) = worker else {
-        // No worker: undo the registration; nothing ran yet.
-        close_session(shared, sid);
-        return;
-    };
-    let reader = {
-        let shared = Arc::clone(shared);
-        let out = Arc::clone(&out);
-        std::thread::Builder::new()
-            .name(format!("rh-serve-r{sid}"))
-            .spawn(move || reader_loop(&shared, stream, tx, &out))
-    };
-    // A failed reader spawn drops `tx`; the worker then drains an empty
-    // channel and closes the session — same path as a normal hangup.
-    let mut handles = vec![worker];
-    if let Ok(h) = reader {
-        handles.push(h);
-    }
-    {
-        let mut reapers = shared.reapers.lock();
-        reapers.extend(handles);
+    match session {
+        Ok(h) => shared.track_thread(h),
+        // No thread: undo the registration; nothing ran yet.
+        Err(_) => close_session(shared, sid),
     }
 }
 
@@ -108,122 +89,131 @@ fn reject(shared: &Arc<Shared>, mut stream: TcpStream) {
     let _ = wire::write_frame(&mut stream, &hello.to_bytes());
 }
 
-/// The frame-reader loop: decode, admit to the pipeline or bounce BUSY.
-/// Exits on peer hangup, idle timeout, garbage, or a slammed socket.
-fn reader_loop(
-    shared: &Arc<Shared>,
-    mut stream: TcpStream,
-    tx: std::sync::mpsc::SyncSender<(Request, Stopwatch)>,
-    out: &Arc<Mutex<TcpStream>>,
-) {
+/// The session loop: take requests in, execute them in order, reply;
+/// once the stream is over, run what is still queued and tear the
+/// session down.
+fn session_loop(shared: &Arc<Shared>, sid: u64, stream: TcpStream) {
+    // The session reads only with an empty queue, so the timeout counts
+    // time spent waiting for the next request and nothing else.
     let _ = stream.set_read_timeout(Some(shared.cfg.idle_timeout));
-    // Clean EOF, idle/read timeout, or transport error all end the
-    // loop: the connection is over either way.
-    while let Ok(Some(payload)) = wire::read_frame(&mut stream) {
+    let mut conn = BufReader::new(stream);
+    let mut queue = VecDeque::new();
+    let mut open = true;
+    loop {
+        if open && queue.is_empty() {
+            open = read_requests(shared, &mut conn, &mut queue);
+        }
+        let Some((req, queued)) = queue.pop_front() else { break };
+        // A subscription handshake turns this thread into the ship
+        // loop: one Ok(Unit) response, then the socket carries raw
+        // `ReplMsg` frames until the subscriber (or the server) goes
+        // away. The connection is dedicated from here on.
+        if let Op::ReplSubscribe { shard, from } = req.op {
+            let log = shared.backend.ship_log(shard);
+            let reply = log.as_ref().map_or_else(wire::error_reply, |_| Reply::Ok(ReplyBody::Unit));
+            send_reply(conn.get_ref(), Response { id: req.id, reply });
+            if let Ok(log) = log {
+                subscribe(shared, sid, &log, shard, from, conn);
+                break;
+            }
+            continue;
+        }
+        serve(shared, sid, req, queued, conn.get_ref());
+    }
+    close_session(shared, sid);
+}
+
+/// Takes requests off the socket into `queue`: waits for the next
+/// frame, then takes every further frame already received. Past the
+/// in-flight cap a frame is answered BUSY instead, and during drain
+/// DRAINING. Returns `false` once the stream is over: hang-up, idle
+/// timeout, a transport error, or a frame that does not decode.
+fn read_requests(
+    shared: &Shared,
+    conn: &mut BufReader<TcpStream>,
+    queue: &mut VecDeque<(Request, Stopwatch)>,
+) -> bool {
+    loop {
+        let Ok(Some(payload)) = wire::read_frame(conn) else { return false };
         shared.obs.registry.inc(names::M_SRV_REQUESTS);
         let req = match Request::from_bytes(&payload) {
             Ok(r) => r,
             Err(e) => {
                 // A frame that passed CRC but does not decode is a
                 // protocol bug, not line noise: answer once, hang up.
-                send_reply(out, Response { id: 0, reply: wire::error_reply(&e) });
-                break;
+                send_reply(conn.get_ref(), Response { id: 0, reply: wire::error_reply(&e) });
+                return false;
             }
         };
         if shared.draining.load(Ordering::SeqCst) {
             let reply =
                 Reply::Err { code: errcode::DRAINING, message: "server is draining".to_string() };
-            send_reply(out, Response { id: req.id, reply });
-            continue;
+            send_reply(conn.get_ref(), Response { id: req.id, reply });
+        } else if queue.len() >= shared.cfg.inflight_per_conn.max(1) {
+            // Backpressure: the pipeline is at the advertised cap.
+            // The op was NOT attempted; the client may resend.
+            shared.obs.registry.inc(names::M_SRV_REPLIES_BUSY);
+            send_reply(conn.get_ref(), Response { id: req.id, reply: Reply::Busy });
+        } else {
+            // The stopwatch's reading at execution start *is* the
+            // session-queue wait (phase.queue_wait).
+            queue.push_back((req, Stopwatch::start()));
         }
-        // The stopwatch rides the channel: the worker's dequeue-time
-        // reading *is* the session-queue wait (phase.queue_wait).
-        match tx.try_send((req, Stopwatch::start())) {
-            Ok(()) => {}
-            Err(TrySendError::Full((req, _))) => {
-                // Backpressure: the pipeline is at the advertised cap.
-                // The op was NOT attempted; the client may resend.
-                shared.obs.registry.inc(names::M_SRV_REPLIES_BUSY);
-                send_reply(out, Response { id: req.id, reply: Reply::Busy });
-            }
-            Err(TrySendError::Disconnected(_)) => break,
+        // Stop at the first frame not wholly received: reading it could
+        // block.
+        if !matches!(frame::decode(conn.buffer()), frame::Decoded::Valid { .. }) {
+            return true;
         }
     }
-    // Dropping `tx` lets the worker drain the tail and close up shop.
 }
 
-/// The op-worker loop: execute in order, reply, and on channel close
-/// tear the session down.
-fn worker_loop(
-    shared: &Arc<Shared>,
-    sid: u64,
-    rx: &Receiver<(Request, Stopwatch)>,
-    out: &Arc<Mutex<TcpStream>>,
-) {
-    while let Ok((req, queued)) = rx.recv() {
-        // A subscription handshake converts this worker into the ship
-        // loop: one Ok(Unit) response, then the socket carries raw
-        // `ReplMsg` frames until the subscriber (or the server) goes
-        // away. The connection is dedicated from here on.
-        if let Op::ReplSubscribe { shard, from } = req.op {
-            match shared.backend.ship_log(shard) {
-                Ok(log) => {
-                    send_reply(out, Response { id: req.id, reply: Reply::Ok(ReplyBody::Unit) });
-                    ship_loop(shared, &log, shard, from, rx, out);
-                    break;
-                }
-                Err(e) => {
-                    send_reply(out, Response { id: req.id, reply: wire::error_reply(&e) });
-                    continue;
-                }
-            }
-        }
-        let queue_us = queued.elapsed_micros();
-        let sw = Stopwatch::start();
-        let txn = txn_of(&req.op);
-        let label = op_name(&req.op);
-        let wants_shutdown = matches!(req.op, Op::Shutdown);
-        shared.obs.registry.observe(names::M_SRV_QUEUE_US, queue_us);
-        shared.obs.tracer.phase(names::PH_QUEUE_WAIT, txn, req.trace, queue_us);
-        let (reply, mut phases) = execute(shared, sid, req.op, req.trace);
-        if matches!(reply, Reply::Err { .. }) {
-            shared.obs.registry.inc(names::M_SRV_REPLIES_ERR);
-        }
-        // Snapshot *before* the reply write: once the reply is on the
-        // wire the client's round-trip clock may stop, so any time this
-        // thread loses afterwards must not be attributed to the request
-        // (a waterfall summing past the round trip reads as overlap).
-        let pre_reply_us = sw.elapsed_micros();
-        send_reply(out, Response { id: req.id, reply });
-        let service_us = sw.elapsed_micros();
-        shared.obs.registry.observe(names::M_SRV_REQUEST_US, service_us);
-        if !phases.is_empty() {
-            // Whatever the instrumented phases did not cover — dispatch
-            // and router orchestration between forces — becomes its own
-            // disjoint phase, so the stitched waterfall sums to the
-            // whole pre-reply service interval and can be held against
-            // the client-observed round trip.
-            let attributed: u64 = phases.iter().map(|&(_, us)| us).sum();
-            let other_us = pre_reply_us.saturating_sub(attributed);
-            shared.obs.tracer.phase(names::PH_SERVE_OTHER, txn, req.trace, other_us);
-            phases.push((names::PH_SERVE_OTHER, other_us));
-        }
-        for &(name, us) in &phases {
-            observe_phase(&shared.obs, name, us);
-        }
-        // Slow-op admission uses the *client-visible* total (queue wait
-        // included), and the retained entry carries the full phase
-        // breakdown so a postmortem waterfall needs nothing else.
-        let total_us = queue_us + service_us;
-        if total_us >= shared.obs.slowops.threshold_us() {
-            phases.insert(0, (names::PH_QUEUE_WAIT, queue_us));
-            shared.obs.record_slow_op(label, txn, req.trace, total_us, phases);
-        }
-        if wants_shutdown {
-            shared.request_shutdown();
-        }
+/// Executes one request and writes its reply, then feeds the latency
+/// histograms, the phase points and the slow-op log.
+fn serve(shared: &Arc<Shared>, sid: u64, req: Request, queued: Stopwatch, out: &TcpStream) {
+    let queue_us = queued.elapsed_micros();
+    let sw = Stopwatch::start();
+    let txn = txn_of(&req.op);
+    let label = op_name(&req.op);
+    let wants_shutdown = matches!(req.op, Op::Shutdown);
+    shared.obs.registry.observe(names::M_SRV_QUEUE_US, queue_us);
+    shared.obs.tracer.phase(names::PH_QUEUE_WAIT, txn, req.trace, queue_us);
+    let (reply, mut phases) = execute(shared, sid, req.op, req.trace);
+    if matches!(reply, Reply::Err { .. }) {
+        shared.obs.registry.inc(names::M_SRV_REPLIES_ERR);
     }
-    close_session(shared, sid);
+    // Snapshot *before* the reply write: once the reply is on the
+    // wire the client's round-trip clock may stop, so any time this
+    // thread loses afterwards must not be attributed to the request
+    // (a waterfall summing past the round trip reads as overlap).
+    let pre_reply_us = sw.elapsed_micros();
+    send_reply(out, Response { id: req.id, reply });
+    let service_us = sw.elapsed_micros();
+    shared.obs.registry.observe(names::M_SRV_REQUEST_US, service_us);
+    if !phases.is_empty() {
+        // Whatever the instrumented phases did not cover — dispatch
+        // and router orchestration between forces — becomes its own
+        // disjoint phase, so the stitched waterfall sums to the
+        // whole pre-reply service interval and can be held against
+        // the client-observed round trip.
+        let attributed: u64 = phases.iter().map(|&(_, us)| us).sum();
+        let other_us = pre_reply_us.saturating_sub(attributed);
+        shared.obs.tracer.phase(names::PH_SERVE_OTHER, txn, req.trace, other_us);
+        phases.push((names::PH_SERVE_OTHER, other_us));
+    }
+    for &(name, us) in &phases {
+        observe_phase(&shared.obs, name, us);
+    }
+    // Slow-op admission uses the *client-visible* total (queue wait
+    // included), and the retained entry carries the full phase
+    // breakdown so a postmortem waterfall needs nothing else.
+    let total_us = queue_us + service_us;
+    if total_us >= shared.obs.slowops.threshold_us() {
+        phases.insert(0, (names::PH_QUEUE_WAIT, queue_us));
+        shared.obs.record_slow_op(label, txn, req.trace, total_us, phases);
+    }
+    if wants_shutdown {
+        shared.request_shutdown();
+    }
 }
 
 /// The transaction an op acts on, as a raw id for trace attribution
@@ -299,15 +289,10 @@ fn observe_phase(obs: &rh_obs::Obs, name: &'static str, us: u64) {
     obs.registry.observe(hist, us);
 }
 
-/// Serializes one response frame through the connection's write half.
-/// Write errors are final for the socket; the reader will notice.
-fn send_reply(out: &Arc<Mutex<TcpStream>>, resp: Response) {
-    let bytes = resp.to_bytes();
-    let mut guard = out.lock();
-    // `out` IS the socket write-half mutex: holding it across the send
-    // is the mechanism that keeps frames whole, not a hazard.
-    // rh-analyze: allow(L7)
-    let _ = wire::write_frame(&mut *guard, &bytes); // rh-analyze: allow(L6)
+/// Writes one response frame. Write errors are final for the socket;
+/// the session's next read notices.
+fn send_reply(mut out: &TcpStream, resp: Response) {
+    let _ = wire::write_frame(&mut out, &resp.to_bytes());
 }
 
 /// Deregisters `sid` and aborts its still-open transactions. Idempotent
@@ -390,9 +375,9 @@ fn execute(
             Ok(token) => Reply::Ok(ReplyBody::Token(token)),
             Err(e) => wire::error_reply(&e),
         },
-        // A subscription request reaching `execute` means the worker
-        // declined to enter the ship loop (invalid shard / replica
-        // backend); acks are only meaningful inside a subscription.
+        // The session loop answers subscription requests itself, so
+        // only a stray ack gets here; acks are only meaningful inside a
+        // subscription.
         Op::ReplSubscribe { .. } | Op::ReplAck(_) => {
             wire::error_reply(&rh_common::RhError::Protocol(
                 "replication ops are valid only on a dedicated subscription connection",
@@ -412,58 +397,70 @@ fn execute(
     (reply, Vec::new())
 }
 
+/// Runs a subscribed connection. The session thread becomes the ship
+/// loop, the socket's only writer, and one extra thread reads the
+/// subscriber's acks into the registry. Whichever side ends the stream
+/// shuts the socket, which ends the other: the ship loop fails its next
+/// write, the ack reader reads EOF. A subscriber sends nothing before
+/// the handshake reply; anything queued behind it goes unanswered.
+fn subscribe(
+    shared: &Arc<Shared>,
+    sid: u64,
+    log: &Arc<LogManager>,
+    shard: u32,
+    from: Lsn,
+    conn: BufReader<TcpStream>,
+) {
+    let Ok(out) = conn.get_ref().try_clone() else { return };
+    let sub = shared.repl.subscribe(shard, from);
+    shared.obs.registry.set(names::M_REPL_SUBSCRIBERS, shared.repl.subscriber_count());
+    let acks = {
+        let shared = Arc::clone(shared);
+        std::thread::Builder::new()
+            .name(format!("rh-serve-a{sid}"))
+            .spawn(move || read_acks(&shared, sub, conn))
+    };
+    if let Ok(h) = acks {
+        shared.track_thread(h);
+        ship_loop(shared, log, sub, from, &out);
+    }
+    let _ = out.shutdown(Shutdown::Both);
+    shared.repl.unsubscribe(sub);
+    shared.obs.registry.set(names::M_REPL_SUBSCRIBERS, shared.repl.subscriber_count());
+}
+
+/// The ack reader of subscription `sub`: folds each `ReplAck` into the
+/// registry (acks are never replied to). The stream's end, an idle
+/// timeout, or anything but an ack ends the subscription.
+fn read_acks(shared: &Shared, sub: u64, mut conn: BufReader<TcpStream>) {
+    while let Ok(Some(payload)) = wire::read_frame(&mut conn) {
+        shared.obs.registry.inc(names::M_SRV_REQUESTS);
+        let Ok(Request { op: Op::ReplAck(acked), .. }) = Request::from_bytes(&payload) else {
+            break;
+        };
+        shared.repl.acked(sub, acked);
+        shared.obs.registry.inc(names::M_REPL_ACKS);
+    }
+    let _ = conn.get_ref().shutdown(Shutdown::Both);
+}
+
 /// How often the ship loop emits a heartbeat when the log is quiet —
 /// the subscriber's liveness signal and its cue to ack/flush. Must be
 /// comfortably below the subscriber's heartbeat-grace read timeout.
 const SHIP_HEARTBEAT: Duration = Duration::from_millis(500);
 
-/// The log-shipping loop a worker becomes after a `ReplSubscribe`
-/// handshake: stream every **durable** record from `from` upward as
-/// [`ReplMsg::Frame`]s, heartbeat when caught up, and fold in the
-/// subscriber's `ReplAck`s (which arrive on the ordinary request
-/// channel and are never replied to). Shipping only durable records
-/// keeps the stream a prefix of what a crash of this primary would
-/// preserve — a replica can never hold state the primary itself would
-/// lose — and [`rh_wal::LogManager::wait_durable`] provides exactly
-/// that watermark without ever forcing a sync of its own: committers
-/// drive durability, the ship loop rides their group commits.
-fn ship_loop(
-    shared: &Arc<Shared>,
-    log: &Arc<LogManager>,
-    shard: u32,
-    from: Lsn,
-    rx: &Receiver<(Request, Stopwatch)>,
-    out: &Arc<Mutex<TcpStream>>,
-) {
-    let sub = shared.repl.subscribe(shard, from);
-    shared.obs.registry.set(names::M_REPL_SUBSCRIBERS, shared.repl.subscriber_count());
+/// The log-shipping loop of subscription `sub`: stream every
+/// **durable** record from `from` upward as [`ReplMsg::Frame`]s and
+/// heartbeat when caught up, until drain or a failed write. Shipping
+/// only durable records keeps the stream a prefix of what a crash of
+/// this primary would preserve — a replica can never hold state the
+/// primary itself would lose — and
+/// [`rh_wal::LogManager::wait_durable`] provides exactly that watermark
+/// without ever forcing a sync of its own: committers drive
+/// durability, the ship loop rides their group commits.
+fn ship_loop(shared: &Shared, log: &LogManager, sub: u64, from: Lsn, out: &TcpStream) {
     let mut next = from;
-    'ship: loop {
-        if shared.draining.load(Ordering::SeqCst) {
-            break;
-        }
-        // Fold in whatever the reader queued: acks update the registry,
-        // anything else on a subscription connection is a protocol bug.
-        // A disconnected channel means the reader is gone (peer hangup
-        // or idle timeout with no acks) — the subscription is over.
-        loop {
-            match rx.try_recv() {
-                Ok((req, _)) => match req.op {
-                    Op::ReplAck(acked) => {
-                        shared.repl.acked(sub, acked);
-                        shared.obs.registry.inc(names::M_REPL_ACKS);
-                    }
-                    _ => {
-                        let e = rh_common::RhError::Protocol(
-                            "subscription connections accept only acks",
-                        );
-                        send_reply(out, Response { id: req.id, reply: wire::error_reply(&e) });
-                    }
-                },
-                Err(TryRecvError::Empty) => break,
-                Err(TryRecvError::Disconnected) => break 'ship,
-            }
-        }
+    while !shared.draining.load(Ordering::SeqCst) {
         let durable = log.wait_durable(next.0 + 1, SHIP_HEARTBEAT);
         if durable > next.0 {
             let mut shipped = 0u64;
@@ -496,19 +493,12 @@ fn ship_loop(
             shared.obs.registry.inc(names::M_REPL_HEARTBEATS);
         }
     }
-    shared.repl.unsubscribe(sub);
-    shared.obs.registry.set(names::M_REPL_SUBSCRIBERS, shared.repl.subscriber_count());
 }
 
-/// Frames one stream message through the connection's write half;
-/// `false` means the socket is dead and the subscription is over.
-fn send_msg(out: &Arc<Mutex<TcpStream>>, msg: &ReplMsg) -> bool {
-    let bytes = msg.to_bytes();
-    let mut guard = out.lock();
-    // `out` IS the socket write-half mutex: holding it across the send
-    // is the mechanism that keeps frames whole, not a hazard.
-    // rh-analyze: allow(L7)
-    wire::write_frame(&mut *guard, &bytes).is_ok() // rh-analyze: allow(L6)
+/// Writes one stream message; `false` means the socket is dead and the
+/// subscription is over.
+fn send_msg(mut out: &TcpStream, msg: &ReplMsg) -> bool {
+    wire::write_frame(&mut out, &msg.to_bytes()).is_ok()
 }
 
 /// Renders a unit-result backend operation.

@@ -15,7 +15,7 @@
 //! * [`Server`] — sessions, admission control, bounded pipelining with
 //!   explicit BUSY backpressure, idle timeouts, graceful
 //!   drain-and-checkpoint, and a `force_stop` crash hatch for tests;
-//! * commits are **group-committed**: each worker prepares its commit
+//! * commits are **group-committed**: each session prepares its commit
 //!   under the engine mutex and forces the log outside it, so
 //!   concurrent sessions share fsyncs
 //!   ([`rh_core::engine::RhDb::commit_prepare`]).

@@ -6,17 +6,17 @@
 //! synchronization layer) behind a mutex, or a range-sharded
 //! [`rh_core::sharded::ShardedDb`] router — plus a
 //! [`rh_obs::TcpService`] accept loop and a table of live sessions.
-//! Each accepted connection gets two threads (frame reader + op worker,
-//! see [`crate::conn`]); the worker executes operations under the
+//! Each accepted connection gets one thread that reads, executes and
+//! replies (see [`crate::conn`]). It executes operations under the
 //! engine mutex (per shard, for the sharded backend) but forces commits
 //! *outside* it, so concurrent sessions' commit records share the WAL's
 //! group-commit fsync (the point of the
 //! [`rh_core::engine::RhDb::commit_prepare`] split).
 //!
 //! Lock order in this crate (declared in the `rh-analyze` L2 manifest):
-//! `sessions` before `engine` before `out`. In practice guards are
-//! scoped so tightly that nesting never happens — the order exists so
-//! the analyzer can prove it.
+//! `sessions` before `engine` before `subscribers`. In practice guards
+//! are scoped so tightly that nesting never happens — the order exists
+//! so the analyzer can prove it.
 
 use crate::conn;
 use crate::repl::ReplRegistry;
@@ -46,11 +46,13 @@ pub struct ServerConfig {
     /// Admission control: sessions beyond this are answered with a
     /// rejected hello and closed.
     pub max_sessions: usize,
-    /// Per-connection pipelining depth; requests beyond this many
-    /// outstanding are bounced with BUSY (never queued unboundedly).
+    /// Per-connection pipelining depth. Each time a session reads, it
+    /// queues at most this many of the requests already received and
+    /// answers the rest BUSY (never queued unboundedly).
     pub inflight_per_conn: usize,
-    /// A connection idle (or mid-frame stalled) longer than this is
-    /// closed, its open transactions aborted.
+    /// A connection that keeps its session waiting for the next request
+    /// (or stalls mid-frame) longer than this is closed, its open
+    /// transactions aborted. Time spent executing does not count.
     pub idle_timeout: Duration,
     /// How long a replica backend blocks a staleness-bounded read
     /// (`ValueOfMin`) waiting for the forward pass to reach the bound
@@ -138,7 +140,7 @@ impl SessionTable {
     }
 
     /// Force-closes every session's socket (drain / force-stop): the
-    /// readers see EOF and the per-connection threads wind down.
+    /// sessions see EOF and their threads wind down.
     fn slam_sockets(&self) {
         for e in self.entries.values() {
             let _ = e.stream.shutdown(std::net::Shutdown::Both);
@@ -522,7 +524,8 @@ pub(crate) struct Shared {
     pub(crate) repl: Arc<ReplRegistry>,
     /// The session table.
     pub(crate) sessions: Mutex<SessionTable>,
-    /// Join handles of per-connection threads, reaped at shutdown.
+    /// Join handles of live per-connection threads, joined at shutdown
+    /// (see [`Shared::track_thread`]).
     pub(crate) reapers: Mutex<Vec<JoinHandle<()>>>,
     /// Set during drain: new connections and new requests are refused.
     pub(crate) draining: AtomicBool,
@@ -550,6 +553,17 @@ impl Shared {
         let mut stopped = self.stop_flag.lock();
         *stopped = true;
         self.stop_cv.notify_all();
+    }
+
+    /// Keeps a per-connection thread's handle for drain and force-stop
+    /// to join, first dropping the handles of threads that already
+    /// exited: an exited thread that is never joined keeps its stack
+    /// mapped, so holding every handle ever spawned grows the process
+    /// with each connection.
+    pub(crate) fn track_thread(&self, handle: JoinHandle<()>) {
+        let mut reapers = self.reapers.lock();
+        reapers.retain(|h| !h.is_finished());
+        reapers.push(handle);
     }
 
     /// Current session count, for the active-sessions gauge.
@@ -584,19 +598,7 @@ impl Server {
     /// a flight recorder, a "server-start" black box is frozen so a
     /// post-crash incarnation's postmortem covers the serving period.
     pub fn bind(addr: &str, db: RhDb, cfg: ServerConfig) -> std::io::Result<Server> {
-        let log = Arc::clone(db.log());
-        let disk = Arc::clone(db.disk());
-        let locks = Arc::clone(db.locks());
-        let obs = Arc::clone(db.obs());
-        let recovered = db.last_recovery().is_some();
-        db.record_blackbox("server-start");
-        let backend = Backend::Single {
-            engine: Box::new(Mutex::named(EtmSession::new(db), names::LS_SERVER_ENGINE)),
-            log,
-            disk,
-            locks,
-        };
-        Self::bind_backend(addr, backend, obs, recovered, cfg, Arc::new(ReplRegistry::new()))
+        Self::bind_with_repl(addr, db, cfg, Arc::new(ReplRegistry::new()))
     }
 
     /// [`Server::bind`] with a caller-supplied replication registry, so
@@ -816,7 +818,7 @@ impl Server {
         };
         for t in &leftovers {
             // Already-terminated ids are fine: abort is best-effort
-            // here, the session workers normally beat us to it.
+            // here, the session threads normally beat us to it.
             let _ = shared.backend.abort(*t);
             shared.obs.registry.inc(names::M_SRV_TXNS_ABORTED_ON_CLOSE);
         }
@@ -855,7 +857,7 @@ impl std::fmt::Debug for Server {
     }
 }
 
-/// Joins every per-connection thread spawned so far.
+/// Joins every per-connection thread still tracked.
 fn join_reapers(shared: &Arc<Shared>) {
     let handles = {
         let mut reapers = shared.reapers.lock();
