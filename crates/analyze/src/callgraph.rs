@@ -685,16 +685,19 @@ pub fn extract(files: &[SourceFile]) -> Vec<FnDef> {
     // return-type map for typing chained receivers.
     let mut global: HashMap<String, BTreeSet<String>> = HashMap::new();
     let mut returns: HashMap<String, BTreeSet<String>> = HashMap::new();
+    let mut closures: HashMap<String, Vec<BTreeSet<String>>> = HashMap::new();
     for f in files {
         if f.path.starts_with("crates/compat/") || crate_of(&f.path).is_none() {
             continue;
         }
-        for (k, v) in type_hints(&f.code()) {
+        let code = f.code();
+        for (k, v) in type_hints(&code) {
             global.entry(k).or_default().extend(v);
         }
-        for (k, v) in return_types(&f.code()) {
+        for (k, v) in return_types(&code) {
             returns.entry(k).or_default().extend(v);
         }
+        closure_bounds(&code, &mut closures);
     }
     let mut out = Vec::new();
     for f in files {
@@ -745,7 +748,7 @@ pub fn extract(files: &[SourceFile]) -> Vec<FnDef> {
                 close += 1;
             }
             let body = &code[open..=close.min(code.len() - 1)];
-            let events = extract_body(body, crate_name, &hints, &global, &returns);
+            let events = extract_body(body, crate_name, &hints, &global, &returns, &closures);
             let owner = blocks.iter().rfind(|b| b.open < i && i < b.close);
             out.push(FnDef {
                 crate_name: crate_name.to_string(),
@@ -763,43 +766,94 @@ pub fn extract(files: &[SourceFile]) -> Vec<FnDef> {
     out
 }
 
-/// Collects closure parameter names in a token slice: idents following
-/// a `|` that opens a closure (preceded by `(`, `,`, `=`, or `move`),
-/// up to the closing `|`, skipping type annotations after `:`.
-fn closure_params(body: &[&Token]) -> HashSet<String> {
-    let mut out = HashSet::new();
-    for (i, t) in body.iter().enumerate() {
-        if !t.is_punct('|') {
-            continue;
-        }
-        let opens = i == 0
+/// True when the `|` at `i` opens a closure (preceded by `(`, `,`, `=`,
+/// or `move`).
+fn opens_closure(body: &[&Token], i: usize) -> bool {
+    body[i].is_punct('|')
+        && (i == 0
             || body[i - 1].is_punct('(')
             || body[i - 1].is_punct(',')
             || body[i - 1].is_punct('=')
-            || body[i - 1].is_ident("move");
-        if !opens {
-            continue;
+            || body[i - 1].is_ident("move"))
+}
+
+/// The parameter names of the closure whose opening `|` is at `open`,
+/// in order, up to the closing `|`, skipping type annotations after
+/// `:`.
+fn closure_param_names(body: &[&Token], open: usize) -> Vec<String> {
+    let mut out = Vec::new();
+    let mut k = open + 1;
+    let mut in_type = false;
+    let mut steps = 0;
+    while k < body.len() && !body[k].is_punct('|') && steps < 24 {
+        if body[k].is_punct(':') {
+            in_type = true;
+        } else if body[k].is_punct(',') {
+            in_type = false;
+        } else if !in_type
+            && body[k].kind == Kind::Ident
+            && !body[k].is_ident("mut")
+            && !body[k].is_ident("ref")
+        {
+            out.push(body[k].text.clone());
         }
-        let mut k = i + 1;
-        let mut in_type = false;
-        let mut steps = 0;
-        while k < body.len() && !body[k].is_punct('|') && steps < 24 {
-            if body[k].is_punct(':') {
-                in_type = true;
-            } else if body[k].is_punct(',') {
-                in_type = false;
-            } else if !in_type
-                && body[k].kind == Kind::Ident
-                && !body[k].is_ident("mut")
-                && !body[k].is_ident("ref")
-            {
-                out.insert(body[k].text.clone());
-            }
-            k += 1;
-            steps += 1;
-        }
+        k += 1;
+        steps += 1;
     }
     out
+}
+
+/// Adds the file's closure-argument bounds to `out`: for each `fn`
+/// whose signature takes an `Fn(A, B)` / `FnMut(..)` / `FnOnce(..)`
+/// bound, the uppercase idents of each closure parameter's type, by
+/// position (`fn on_shard(.., f: impl FnOnce(&mut RhDb) -> R)` →
+/// `on_shard ↦ [{RhDb}]`). Types a closure literal's parameters at the
+/// call site, so `on_shard(.., |eng| eng.write(..))` resolves `write`
+/// on the engine, not on the router that defines a `write` of its own.
+fn closure_bounds(code: &[&Token], out: &mut HashMap<String, Vec<BTreeSet<String>>>) {
+    let mut i = 0usize;
+    while i < code.len() {
+        if !code[i].is_ident("fn") || !code.get(i + 1).is_some_and(|t| t.kind == Kind::Ident) {
+            i += 1;
+            continue;
+        }
+        let name = code[i + 1].text.clone();
+        let mut j = i + 2;
+        while j < code.len() && !code[j].is_punct('{') && !code[j].is_punct(';') {
+            let bound = ["Fn", "FnMut", "FnOnce"].iter().any(|b| code[j].is_ident(b))
+                && code.get(j + 1).is_some_and(|t| t.is_punct('('));
+            if !bound {
+                j += 1;
+                continue;
+            }
+            let slots = out.entry(name.clone()).or_default();
+            let (mut pos, mut pd) = (0usize, 0i32);
+            j += 1;
+            while j < code.len() {
+                let t = code[j];
+                if t.is_punct('(') {
+                    pd += 1;
+                } else if t.is_punct(')') {
+                    pd -= 1;
+                    if pd == 0 {
+                        break;
+                    }
+                } else if t.is_punct(',') && pd == 1 {
+                    pos += 1;
+                } else if t.kind == Kind::Ident
+                    && t.text != "Self"
+                    && t.text.chars().next().is_some_and(char::is_uppercase)
+                {
+                    if slots.len() <= pos {
+                        slots.resize(pos + 1, BTreeSet::new());
+                    }
+                    slots[pos].insert(t.text.clone());
+                }
+                j += 1;
+            }
+        }
+        i = j;
+    }
 }
 
 /// True when a guard-producing call at `close_paren` ends its statement
@@ -852,16 +906,25 @@ fn snapshot(held: &[Held]) -> Vec<String> {
 /// `global` the workspace-wide union, consulted when the file is silent
 /// about a receiver (fields of types declared in other crates);
 /// `returns` the workspace return-type map from [`return_types`], used
-/// to type chained receivers (`x.stable().set_master(..)`).
+/// to type chained receivers (`x.stable().set_master(..)`); `closures`
+/// the workspace closure-argument bounds from [`closure_bounds`], used
+/// to type closure parameters by the callee they are handed to.
 fn extract_body(
     code: &[&Token],
     crate_name: &str,
     hints: &HashMap<String, BTreeSet<String>>,
     global: &HashMap<String, BTreeSet<String>>,
     returns: &HashMap<String, BTreeSet<String>>,
+    closures: &HashMap<String, Vec<BTreeSet<String>>>,
 ) -> Vec<Event> {
     let lookup = |name: &str| hints.get(name).or_else(|| global.get(name));
-    let params = closure_params(code);
+    let params: HashSet<String> = (0..code.len())
+        .filter(|&i| opens_closure(code, i))
+        .flat_map(|i| closure_param_names(code, i))
+        .collect();
+    // Closure parameters typed by the callee's `Fn*(..)` bound; they
+    // shadow any same-named declaration elsewhere in the file.
+    let mut typed_params: HashMap<String, BTreeSet<String>> = HashMap::new();
     let mut events: Vec<Event> = Vec::new();
     let mut held: Vec<Held> = Vec::new();
     let mut depth = 0i32;
@@ -909,6 +972,20 @@ fn extract_body(
                     t.text.chars().next().is_some_and(|c| c.is_lowercase() || c == '_');
                 (t.kind == Kind::Ident && lower_start).then(|| t.text.clone())
             });
+            continue;
+        }
+        if opens_closure(code, i) {
+            let callee = open_calls.iter().rev().find_map(|c| c.event_idx).and_then(|e| {
+                match &events[e].kind {
+                    EventKind::Call { name, .. } => closures.get(name),
+                    EventKind::Acquire { .. } => None,
+                }
+            });
+            if let Some(slots) = callee {
+                for (p, tys) in closure_param_names(code, i).into_iter().zip(slots) {
+                    typed_params.insert(p, tys.clone());
+                }
+            }
             continue;
         }
         if t.kind != Kind::Ident {
@@ -1003,7 +1080,7 @@ fn extract_body(
             _ => {
                 if method && i >= 2 && code[i - 2].kind == Kind::Ident {
                     let r = &code[i - 2].text;
-                    if let Some(h) = lookup(r) {
+                    if let Some(h) = typed_params.get(r).or_else(|| lookup(r)) {
                         tys.extend(h.iter().cloned());
                     }
                     for h in held.iter().filter(|h| h.binder.as_deref() == Some(r.as_str())) {

@@ -29,11 +29,11 @@ pub const MANIFEST: &[(&str, &[&str])] = &[
     // rh-lockmgr: a single internal mutex — nesting anything under it
     // is a violation by construction.
     ("crates/lockmgr/src/", &["state"]),
-    // rh-server: session table first, then the engine mutex, then the
-    // replication subscriber registry (ship-loop bookkeeping never nests
-    // inside the others, but the order pins any future nesting below
-    // them).
-    ("crates/server/src/", &["sessions", "engine", "subscribers"]),
+    // rh-server: session table first, then the replication subscriber
+    // registry (ship-loop bookkeeping never nests inside the session
+    // table, but the order pins any future nesting below it). Engine
+    // mutexes belong to the sharded router below.
+    ("crates/server/src/", &["sessions", "subscribers"]),
     // rh-core sharded router: the global transaction table before any
     // shard's engine mutex (savepoint holds `gtxns` while marking each
     // participant shard). The decision-retirement queue (`retire`)
@@ -182,14 +182,14 @@ mod tests {
     }
 
     #[test]
-    fn server_order_sessions_then_engine_then_subscribers() {
+    fn server_order_sessions_then_subscribers() {
         let path = "crates/server/src/conn.rs";
-        let good = "fn f(&self) { { let s = self.sessions.lock(); } let e = self.engine.lock(); }";
+        let good = "fn f(&self) { let s = self.sessions.lock(); let r = self.subscribers.lock(); }";
         assert!(check(&SourceFile::new(path, good)).is_empty());
-        // Reporting ship progress while holding the engine is the
-        // declared order, but taking the engine under `subscribers` is
-        // not.
-        let bad = "fn f(&self) { let r = self.subscribers.lock(); let e = self.engine.lock(); }";
+        // Reporting ship progress while holding the session table is the
+        // declared order, but taking the session table under
+        // `subscribers` is not.
+        let bad = "fn f(&self) { let r = self.subscribers.lock(); let s = self.sessions.lock(); }";
         let got = check(&SourceFile::new(path, bad));
         assert_eq!(got.len(), 1);
         assert!(got[0].message.contains("holding `subscribers`"));

@@ -16,7 +16,7 @@
 //!
 //! The unifier also produces the ranked **hold-time report**: sites
 //! ordered by total observed held time, each with its named
-//! sub-histograms (`server.engine` / `commit_prepare` is the expected
+//! sub-histograms (`core.engine` / `commit_prepare` is the expected
 //! chart-topper under the full suite).
 
 use crate::lockgraph::Analysis;

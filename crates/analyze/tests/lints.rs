@@ -124,6 +124,20 @@ fn abba_fixture_spanning_two_crates_is_a_diagnosed_cycle() {
 }
 
 #[test]
+fn closure_parameter_is_typed_from_the_callees_fn_bound() {
+    let files = [
+        SourceFile::new("crates/fixc/src/router.rs", &fixture("closure_router.rs")),
+        SourceFile::new("crates/fixc/src/engine.rs", &fixture("closure_engine.rs")),
+    ];
+    let g = rh_analyze::lockgraph::analyze(&files, &lock_deps());
+    assert!(g.edge("fixc.gtxns", "fixc.engine").is_some(), "edges: {:?}", g.edges);
+    // `eng.write` inside `on_shard(|eng| ..)` is the engine's `write`
+    // (the closure's `&mut Engine`), which takes no router lock.
+    assert!(g.edge("fixc.engine", "fixc.gtxns").is_none(), "edges: {:?}", g.edges);
+    assert!(!g.has_cycle(), "cycles: {:?}", g.cycles);
+}
+
+#[test]
 fn clean_fixture_is_clean_everywhere() {
     // Scan the clean fixture under the *most* rule-exposed paths: a
     // durability-critical recovery file and a lock-manifested crate.

@@ -178,13 +178,9 @@ mod tests {
             assert_eq!(set.value_of(ObjectId(100 + i)).unwrap(), i as Value);
         }
         // Promotion opens the same state for writes.
-        match set.promote().expect("promote") {
-            rh_core::replica::PromotedDb::Single(mut db) => {
-                let t = db.begin().unwrap();
-                assert_eq!(db.read(t, ObjectId(100)).unwrap(), 0);
-                db.commit(t).unwrap();
-            }
-            rh_core::replica::PromotedDb::Sharded(_) => panic!("one shard promotes single"),
-        }
+        let db = set.promote().expect("promote");
+        let t = db.begin().unwrap();
+        assert_eq!(db.read(t, ObjectId(100)).unwrap(), 0);
+        db.commit(t).unwrap();
     }
 }

@@ -3,7 +3,7 @@
 //! bench and the `rh-bench --check-baselines` regression gate, so the
 //! gate re-runs exactly the workload the checked-in baselines measured.
 //!
-//! A cycle stands up a fresh file-backed server (single-engine or
+//! A cycle stands up a fresh file-backed server (one shard or
 //! range-sharded), drives it with the `rh-load` closed-loop generator,
 //! verifies the oracle, and drains. Points are named the way baseline
 //! rows are named: `serve_t16_d30` (16 threads, 30% delegation) or
@@ -11,7 +11,7 @@
 //! cross-shard fraction mixed in).
 
 use rh_client::load::{run_load, LoadSpec};
-use rh_core::engine::{DbConfig, RhDb, Strategy};
+use rh_core::engine::{DbConfig, Strategy};
 use rh_core::sharded::{ShardMap, ShardedDb};
 use rh_obs::Stopwatch;
 use rh_server::{Server, ServerConfig};
@@ -130,23 +130,17 @@ fn scratch() -> PathBuf {
 /// reused one would see the generator's `add` objects twice.
 pub fn one_cycle(point: &CyclePoint) -> CycleOutcome {
     let dir = scratch();
-    let server = if point.shards > 1 {
-        let stables = (0..point.shards)
-            .map(|k| StableLog::open_dir(dir.join(format!("shard-{k}"))).expect("bench shard dir"))
-            .collect();
-        let db = ShardedDb::with_stable_logs(
-            Strategy::Rh,
-            DbConfig::default(),
-            stables,
-            ShardMap::RANGE_SHIFT,
-        )
-        .expect("bench sharded open");
-        Server::bind_sharded("127.0.0.1:0", db, ServerConfig::default()).expect("bind")
-    } else {
-        let stable = StableLog::open_dir(&dir).expect("bench log dir");
-        let db = RhDb::with_stable_log(Strategy::Rh, DbConfig::default(), stable);
-        Server::bind("127.0.0.1:0", db, ServerConfig::default()).expect("bind")
-    };
+    let stables = (0..point.shards)
+        .map(|k| StableLog::open_dir(dir.join(format!("shard-{k}"))).expect("bench log dir"))
+        .collect();
+    let db = ShardedDb::with_stable_logs(
+        Strategy::Rh,
+        DbConfig::default(),
+        stables,
+        ShardMap::RANGE_SHIFT,
+    )
+    .expect("bench open");
+    let server = Server::bind("127.0.0.1:0", db, ServerConfig::default()).expect("bind");
     let addr = server.local_addr().to_string();
     let report = run_load(&addr, &point.spec()).expect("load");
     assert_eq!(report.divergences, 0, "bench run diverged: {report:?}");
@@ -156,11 +150,7 @@ pub fn one_cycle(point: &CyclePoint) -> CycleOutcome {
         commits: report.server_commits_delta,
         fsyncs: report.server_fsyncs_delta,
     };
-    if point.shards > 1 {
-        drop(server.shutdown_sharded().expect("drain"));
-    } else {
-        drop(server.shutdown().expect("drain"));
-    }
+    drop(server.shutdown().expect("drain"));
     let _ = std::fs::remove_dir_all(&dir);
     out
 }

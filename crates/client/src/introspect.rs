@@ -1,8 +1,8 @@
 //! Client-side consumption of the server's introspection endpoints:
 //! a minimal HTTP/1.0 GET, phase-event extraction from `/trace`
-//! documents (single-engine or sharded shape, live or postmortem), and
-//! the waterfall stitcher that `rh-trace` and the `rh-load` coverage
-//! gate share.
+//! documents (a single trace ring, the live router-plus-shards shape,
+//! or a postmortem), and the waterfall stitcher that `rh-trace` and the
+//! `rh-load` coverage gate share.
 //!
 //! A *waterfall* is the per-transaction latency attribution the tracing
 //! tentpole exists for: every `phase.*` point the server emitted for

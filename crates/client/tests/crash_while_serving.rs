@@ -18,6 +18,7 @@ use rh_client::{ClientError, Connection};
 use rh_common::ops::Value;
 use rh_common::ObjectId;
 use rh_core::engine::{DbConfig, RhDb, Strategy};
+use rh_core::sharded::ShardedDb;
 use rh_core::TxnEngine;
 use rh_server::{Server, ServerConfig};
 use rh_wal::StableLog;
@@ -140,11 +141,12 @@ fn crash_and_recover(strategy: Strategy, tag: &str) {
     let dir = scratch(tag);
     let stable = StableLog::open_dir(&dir).expect("open dir");
     let db = RhDb::with_stable_log(strategy, DbConfig::default(), Arc::clone(&stable));
-    let server = Server::bind("127.0.0.1:0", db, ServerConfig::default()).expect("bind");
-    let addr = server.local_addr().to_string();
     // Crash fidelity: keep the "hardware" (stable log + disk) alive
     // across the crash, exactly as a machine restart would.
-    let disk = server.disk();
+    let disk = Arc::clone(db.disk());
+    let server =
+        Server::bind("127.0.0.1:0", ShardedDb::from(db), ServerConfig::default()).expect("bind");
+    let addr = server.local_addr().to_string();
 
     let oracle = Arc::new(Mutex::new(Oracle::default()));
     let acks = Arc::new(AtomicU64::new(0));

@@ -6,6 +6,7 @@
 
 use rh_client::load::{run_load, LoadSpec};
 use rh_core::engine::{DbConfig, RhDb, Strategy};
+use rh_core::sharded::ShardedDb;
 use rh_server::{Server, ServerConfig};
 use rh_wal::StableLog;
 use std::path::PathBuf;
@@ -27,7 +28,7 @@ fn scratch(tag: &str) -> PathBuf {
 fn sixteen_threads_zero_divergence_and_batched_fsyncs() {
     let dir = scratch("accept");
     let stable = StableLog::open_dir(&dir).expect("open dir");
-    let db = RhDb::with_stable_log(Strategy::Rh, DbConfig::default(), stable);
+    let db = ShardedDb::from(RhDb::with_stable_log(Strategy::Rh, DbConfig::default(), stable));
     let server = Server::bind("127.0.0.1:0", db, ServerConfig::default()).expect("bind");
     let addr = server.local_addr().to_string();
 
@@ -70,7 +71,8 @@ fn sixteen_threads_zero_divergence_and_batched_fsyncs() {
 fn lazy_rewrite_strategy_serves_the_same_contract() {
     let dir = scratch("lazy");
     let stable = StableLog::open_dir(&dir).expect("open dir");
-    let db = RhDb::with_stable_log(Strategy::LazyRewrite, DbConfig::default(), stable);
+    let db =
+        ShardedDb::from(RhDb::with_stable_log(Strategy::LazyRewrite, DbConfig::default(), stable));
     let server = Server::bind("127.0.0.1:0", db, ServerConfig::default()).expect("bind");
     let addr = server.local_addr().to_string();
 

@@ -34,7 +34,7 @@ fn sharded_server(strategy: Strategy, dir: &Path) -> (Server, String) {
         ShardedDb::with_stable_logs(strategy, DbConfig::default(), stables, ShardMap::RANGE_SHIFT)
             .expect("sharded open");
     let obs_addr = db.serve_introspection("127.0.0.1:0").expect("introspection").to_string();
-    (Server::bind_sharded("127.0.0.1:0", db, ServerConfig::default()).expect("bind"), obs_addr)
+    (Server::bind("127.0.0.1:0", db, ServerConfig::default()).expect("bind"), obs_addr)
 }
 
 #[test]
@@ -96,7 +96,7 @@ fn cross_shard_load_holds_the_oracle_and_commits_via_2pc() {
         );
     }
 
-    let db = server.shutdown_sharded().expect("drain");
+    let db = server.shutdown().expect("drain");
     let stats = db.stats();
     assert_eq!(stats.counter("server.commits"), expected);
     // Half the transactions drew a remote-range write, so a healthy
@@ -141,7 +141,7 @@ fn lazy_rewrite_serves_the_same_sharded_contract() {
     assert_eq!(report.errors, 0);
     assert_eq!(report.txns_committed, (spec.threads * spec.txns_per_thread) as u64);
 
-    let db = server.shutdown_sharded().expect("drain");
+    let db = server.shutdown().expect("drain");
     assert!(db.stats().counter("shard.twopc.commits") >= 1);
     let _ = std::fs::remove_dir_all(&dir);
 }

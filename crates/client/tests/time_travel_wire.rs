@@ -6,6 +6,7 @@
 use rh_client::load::connect_with_retry;
 use rh_common::{Lsn, ObjectId};
 use rh_core::engine::{DbConfig, RhDb, Strategy};
+use rh_core::sharded::ShardedDb;
 use rh_obs::json::{self, JsonValue};
 use rh_server::{Server, ServerConfig};
 use rh_wal::StableLog;
@@ -32,7 +33,7 @@ fn u64_of(v: &JsonValue, key: &str) -> u64 {
 fn read_as_of_and_history_over_the_wire() {
     let dir = scratch("wire");
     let stable = StableLog::open_dir(&dir).expect("open dir");
-    let db = RhDb::with_stable_log(Strategy::Rh, DbConfig::default(), stable);
+    let db = ShardedDb::from(RhDb::with_stable_log(Strategy::Rh, DbConfig::default(), stable));
     let server = Server::bind("127.0.0.1:0", db, ServerConfig::default()).expect("bind");
     let addr = server.local_addr().to_string();
     let mut c = connect_with_retry(&addr).expect("connect");

@@ -4,7 +4,7 @@
 //! call-site changes.
 //!
 //! What it records, per *site* (a caller-supplied static name attached to
-//! a lock at construction, e.g. `"server.engine"`):
+//! a lock at construction, e.g. `"core.engine"`):
 //!
 //! * **Held-lock stacks** — a thread-local stack of the sites this thread
 //!   currently holds, maintained by guard drop.
@@ -14,7 +14,7 @@
 //!   cycle, the acquiring thread panics with a two-site ABBA diagnosis
 //!   instead of deadlocking the test run.
 //! * **Hold-time histograms** — power-of-two microsecond buckets per
-//!   site, plus named sub-histograms (e.g. `server.engine` /
+//!   site, plus named sub-histograms (e.g. `core.engine` /
 //!   `commit_prepare`) fed by [`note_hold`] from instrumented code.
 //!
 //! Same-site nesting (the sharded router holds several shards' `engine`
@@ -136,7 +136,7 @@ struct SiteStats {
     acquires: u64,
     hold: HoldHistogram,
     /// Named sub-histograms attributed by instrumented code while the
-    /// site was held (e.g. `commit_prepare` under `server.engine`).
+    /// site was held (e.g. `commit_prepare` under `core.engine`).
     subs: Vec<(&'static str, HoldHistogram)>,
 }
 
@@ -391,8 +391,8 @@ impl Drop for HoldToken {
 
 /// Attributes `us` microseconds to the named sub-histogram of `site` —
 /// instrumented code calls this to break a long hold into phases (the
-/// server commit path reports its `commit_prepare` slice of the
-/// `server.engine` hold this way). No-op when the witness is off.
+/// router commit path reports its `commit_prepare` slice of the
+/// `core.engine` hold this way). No-op when the witness is off.
 pub fn note_hold(site: &'static str, sub: &'static str, us: u64) {
     if !enabled() {
         return;

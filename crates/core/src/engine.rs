@@ -26,11 +26,10 @@ use rh_common::codec::Codec;
 use rh_common::ops::Value;
 use rh_common::{Lsn, ObjectId, Result, RhError, TxnId, UpdateOp};
 use rh_lock::{LockManager, LockMode};
-use rh_obs::{names, HttpResponse, IntrospectionServer, JsonValue, Obs, Sampler};
+use rh_obs::{names, JsonValue, Obs};
 use rh_storage::{BufferPool, Disk};
 use rh_wal::record::{DelegateBody, RecordBody};
 use rh_wal::{LogManager, StableLog};
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// Which delegation-implementation strategy the engine runs.
@@ -85,20 +84,16 @@ pub struct RhDb {
     /// keep observing after the engine moves.
     obs: Arc<Obs>,
     /// Per-object delegation responsibility chains (shared with the
-    /// introspection server's thread; the engine is the only writer).
+    /// sharded router's introspection thread; the engine is the only
+    /// writer).
     prov: Arc<Mutex<ProvenanceTable>>,
     /// The predecessor-diff built by the recovery that produced this
-    /// incarnation, if a black box was found. Shared with the server.
+    /// incarnation, if a black box was found. Shared with the sharded
+    /// router's introspection thread.
     postmortem: Arc<Mutex<Option<JsonValue>>>,
     /// The black-box recorder; `None` for mem-backed logs or when
     /// explicitly disabled.
     flight: Option<FlightRecorder>,
-    /// The live introspection endpoint; dropped (= shut down) with the
-    /// engine.
-    server: Option<IntrospectionServer>,
-    /// The cadence thread feeding `/timeseries` while the introspection
-    /// endpoint runs; dropped (= stopped) with it.
-    sampler: Option<Sampler>,
 }
 
 impl RhDb {
@@ -112,25 +107,7 @@ impl RhDb {
         let disk = Disk::new();
         let log = Arc::new(LogManager::new());
         let pool = BufferPool::new(Arc::clone(&disk), config.pool_pages);
-        RhDb {
-            strategy,
-            config,
-            log,
-            disk,
-            pool,
-            locks: Arc::new(LockManager::new()),
-            tr: TrList::new(),
-            next_txn: 0,
-            compensated: std::collections::HashSet::new(),
-            coord_decisions: std::collections::BTreeMap::new(),
-            last_recovery: None,
-            obs: Arc::new(Obs::new()),
-            prov: Arc::new(Mutex::named(ProvenanceTable::new(), names::LS_CORE_PROV)),
-            postmortem: Arc::new(Mutex::named(None, names::LS_CORE_POSTMORTEM)),
-            flight: None,
-            server: None,
-            sampler: None,
-        }
+        Self::from_parts(strategy, config, log, disk, pool, TrList::new(), 0, Arc::new(Obs::new()))
     }
 
     /// Creates a fresh database whose log lives on the given stable
@@ -159,31 +136,16 @@ impl RhDb {
         };
         let log = Arc::new(LogManager::attach(stable));
         let pool = BufferPool::new(Arc::clone(&disk), config.pool_pages);
-        RhDb {
-            strategy,
-            config,
-            log,
-            disk,
-            pool,
-            locks: Arc::new(LockManager::new()),
-            tr: TrList::new(),
-            next_txn: 0,
-            compensated: std::collections::HashSet::new(),
-            coord_decisions: std::collections::BTreeMap::new(),
-            last_recovery: None,
-            obs,
-            prov: Arc::new(Mutex::named(ProvenanceTable::new(), names::LS_CORE_PROV)),
-            postmortem: Arc::new(Mutex::named(None, names::LS_CORE_POSTMORTEM)),
-            flight,
-            server: None,
-            sampler: None,
-        }
+        let mut db = Self::from_parts(strategy, config, log, disk, pool, TrList::new(), 0, obs);
+        db.flight = flight;
+        db
     }
 
     /// (Re)constructs an engine over existing stable state **without**
-    /// running recovery — used internally and by tests that want to
-    /// inspect a broken state. The caller supplies the [`Obs`] so a
-    /// recovery's trace survives into the engine it produced.
+    /// running recovery — the constructors' common tail, and used by
+    /// tests that want to inspect a broken state. The caller supplies
+    /// the [`Obs`] so a recovery's trace survives into the engine it
+    /// produced.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_parts(
         strategy: Strategy,
@@ -211,8 +173,6 @@ impl RhDb {
             prov: Arc::new(Mutex::named(ProvenanceTable::new(), names::LS_CORE_PROV)),
             postmortem: Arc::new(Mutex::named(None, names::LS_CORE_POSTMORTEM)),
             flight: None,
-            server: None,
-            sampler: None,
         }
     }
 
@@ -262,6 +222,17 @@ impl RhDb {
         Arc::clone(&self.prov)
     }
 
+    /// The predecessor-postmortem handle (served by the sharded router's
+    /// `/postmortem` route without the engine mutex).
+    pub(crate) fn postmortem_handle(&self) -> Arc<Mutex<Option<JsonValue>>> {
+        Arc::clone(&self.postmortem)
+    }
+
+    /// The engine's tuning.
+    pub(crate) fn config(&self) -> DbConfig {
+        self.config
+    }
+
     /// The next transaction id this engine would hand out — the sharded
     /// router seeds its global counter from the max across shards after
     /// recovery.
@@ -297,7 +268,7 @@ impl RhDb {
         self.obs.tracer.snapshot()
     }
 
-    // ---- provenance / flight recorder / introspection -----------------
+    // ---- provenance / flight recorder ---------------------------------
 
     /// The delegation responsibility chain of `ob`, oldest hop first:
     /// one `(from, to, lsn)` entry per delegate record that moved
@@ -308,8 +279,8 @@ impl RhDb {
         self.prov.lock().chain(ob).to_vec()
     }
 
-    /// Every object's responsibility chain, as JSON (the `/provenance`
-    /// introspection route and the bench artifacts serve this).
+    /// Every object's responsibility chain, as JSON (the bench artifacts
+    /// serve this).
     pub fn provenance_json(&self) -> JsonValue {
         self.prov.lock().to_json()
     }
@@ -388,142 +359,6 @@ impl RhDb {
     /// Whether a flight recorder is currently attached.
     pub fn has_flight_recorder(&self) -> bool {
         self.flight.is_some()
-    }
-
-    /// Starts the live introspection server on `addr` (use
-    /// `"127.0.0.1:0"` for an ephemeral port) and returns the bound
-    /// address. Read-only and bounded (see `rh_obs::serve`); routes:
-    /// `/stats`, `/metrics` (Prometheus text exposition of the same
-    /// registry), `/timeseries`, `/slowops`, `/trace`, `/provenance`,
-    /// `/provenance/<ob>`, `/postmortem`, and the time-travel routes
-    /// `/asof/<ob>/<lsn>` and `/history/<ob>` (reenacted off the shared
-    /// log handle — never through the engine). Also spawns the once-a-second
-    /// cadence sampler feeding `/timeseries`. The server and sampler
-    /// stop when the engine is dropped (or on
-    /// [`RhDb::stop_introspection`]).
-    pub fn serve_introspection(&mut self, addr: &str) -> std::io::Result<std::net::SocketAddr> {
-        self.serve_introspection_with(addr, &[], None)
-    }
-
-    /// [`RhDb::serve_introspection`] plus embedder-supplied routes: any
-    /// path the `extra` handler answers is served before the built-in
-    /// routes (the server layer mounts `/replication` this way), and
-    /// `extra_endpoints` is appended to the route list echoed in 404s.
-    pub fn serve_introspection_with(
-        &mut self,
-        addr: &str,
-        extra_endpoints: &[&str],
-        extra: Option<rh_obs::Handler>,
-    ) -> std::io::Result<std::net::SocketAddr> {
-        let log = Arc::clone(&self.log);
-        let disk = Arc::clone(&self.disk);
-        let locks = Arc::clone(&self.locks);
-        let obs = Arc::clone(&self.obs);
-        let prov = Arc::clone(&self.prov);
-        let postmortem = Arc::clone(&self.postmortem);
-        // The absorbed "one-stop" registry view, shared by /stats,
-        // /metrics, and the sampler tick — the same arithmetic as
-        // `stats()`.
-        let absorbed = {
-            let obs = Arc::clone(&obs);
-            move || {
-                log.metrics().snapshot().export_into(&obs.registry);
-                disk.metrics().snapshot().export_into(&obs.registry);
-                locks.stats().snapshot().export_into(&obs.registry);
-                obs.registry.snapshot()
-            }
-        };
-        let mut endpoints = vec![
-            "/stats",
-            "/metrics",
-            "/timeseries",
-            "/slowops",
-            "/trace",
-            "/provenance",
-            "/postmortem",
-            "/asof/<ob>/<lsn>",
-            "/history/<ob>",
-        ];
-        endpoints.extend_from_slice(extra_endpoints);
-        let handler: rh_obs::Handler = {
-            let absorbed = absorbed.clone();
-            let obs = Arc::clone(&obs);
-            let log = Arc::clone(&self.log);
-            Arc::new(move |path: &str| {
-                if let Some(hit) = extra.as_ref().and_then(|h| h(path)) {
-                    return Some(hit);
-                }
-                match path {
-                    "/stats" => Some(HttpResponse::Json(absorbed().to_json())),
-                    "/metrics" => Some(HttpResponse::Text {
-                        content_type: rh_obs::serve::PROMETHEUS_CONTENT_TYPE,
-                        body: rh_obs::promtext::render(&absorbed()),
-                    }),
-                    "/timeseries" => Some(HttpResponse::Json(obs.timeseries.to_json())),
-                    "/slowops" => Some(HttpResponse::Json(obs.slowops.to_json())),
-                    "/trace" => Some(HttpResponse::Json(obs.tracer.snapshot().to_json())),
-                    "/provenance" => {
-                        let doc = prov.lock().to_json();
-                        Some(HttpResponse::Json(doc))
-                    }
-                    "/postmortem" => {
-                        let doc = postmortem.lock().clone();
-                        Some(HttpResponse::Json(doc.unwrap_or(JsonValue::Null)))
-                    }
-                    p => {
-                        let reenact = |ob, lsn, purpose| {
-                            crate::reenact::query(&log, &obs, ob, lsn, purpose)
-                                .map(|r| (r, BTreeSet::new()))
-                        };
-                        if let Some(rest) = p.strip_prefix("/asof/") {
-                            Some(introspect_asof(rest, reenact))
-                        } else if let Some(rest) = p.strip_prefix("/history/") {
-                            Some(introspect_history(rest, reenact))
-                        } else if let Some(rest) = p.strip_prefix("/provenance/") {
-                            // Malformed segments are a 400, not a 404: the
-                            // route shape matched, the parameter did not.
-                            match rest.parse::<u64>() {
-                                Ok(ob) => {
-                                    let chain = prov.lock();
-                                    Some(HttpResponse::Json(JsonValue::Arr(
-                                        chain
-                                            .chain(ObjectId(ob))
-                                            .iter()
-                                            .map(ProvHop::to_json)
-                                            .collect(),
-                                    )))
-                                }
-                                Err(_) => {
-                                    Some(HttpResponse::bad_request("object id must be numeric"))
-                                }
-                            }
-                        } else {
-                            None
-                        }
-                    }
-                }
-            })
-        };
-        let server = IntrospectionServer::bind(addr, &endpoints, handler)?;
-        let bound = server.local_addr();
-        let tick_obs = Arc::clone(&self.obs);
-        self.sampler = Some(Sampler::spawn_every(
-            std::time::Duration::from_secs(1),
-            Box::new(move || {
-                tick_obs.registry.inc(names::M_TS_SAMPLES);
-                crate::witness_bridge::sample_lock_witness(&tick_obs.registry);
-                tick_obs.timeseries.sample(&absorbed());
-            }),
-        ));
-        self.server = Some(server);
-        Ok(bound)
-    }
-
-    /// Shuts the introspection server (and its cadence sampler) down, if
-    /// running.
-    pub fn stop_introspection(&mut self) {
-        self.sampler = None;
-        self.server = None;
     }
 
     /// Number of transactions currently in the table.
@@ -774,12 +609,15 @@ impl RhDb {
             v.sort();
             v
         };
+        // Cloned before the literal: a guard taken inside it would live
+        // to the end of the statement, across the disk read below.
+        let provenance = self.prov.lock().clone();
         let snap = CheckpointSnapshot {
             tr_list: self.tr.clone(),
             dpt: self.pool.dirty_page_table(),
             next_txn: self.next_txn,
             compensated,
-            provenance: self.prov.lock().clone(),
+            provenance,
             // Unretired coordinator decisions ride in every snapshot:
             // another shard's in-doubt resolution may still need them
             // after this anchor hides their CoordCommit records.
@@ -1016,74 +854,6 @@ impl RhDb {
     /// The decisions currently carried into checkpoints (test hook).
     pub fn coord_decisions(&self) -> Vec<(TxnId, Vec<u32>)> {
         self.coord_decisions.iter().map(|(t, p)| (*t, p.clone())).collect()
-    }
-}
-
-/// Parses an LSN path segment: a decimal LSN, or the literal `now` for
-/// "the log's last record".
-pub(crate) fn parse_lsn_segment(s: &str) -> Option<Lsn> {
-    if s == "now" {
-        return Some(Lsn::NULL);
-    }
-    s.parse::<u64>().ok().map(Lsn)
-}
-
-/// `/asof/<ob>/<lsn>`: the reenacted committed value at an LSN. `run`
-/// performs the replay and returns the reenactment plus the set of its
-/// in-doubt transactions some coordinator decision commits (always
-/// empty for a single-node engine; the sharded router stitches
-/// decisions across shard logs). Runs entirely off shared log + obs
-/// handles — the engine mutex (where one exists) is never involved.
-/// Malformed segments are a 400; an unanswerable target (truncated
-/// history) is a 400 carrying the reenactment error.
-pub(crate) fn introspect_asof(
-    rest: &str,
-    run: impl Fn(ObjectId, Lsn, Purpose) -> Result<(crate::reenact::Reenactment, BTreeSet<TxnId>)>,
-) -> HttpResponse {
-    let mut it = rest.splitn(2, '/');
-    let ob = it.next().and_then(|s| s.parse::<u64>().ok());
-    let lsn = it.next().and_then(parse_lsn_segment);
-    let (Some(ob), Some(lsn)) = (ob, lsn) else {
-        return HttpResponse::bad_request(
-            "expected /asof/<ob>/<lsn> with numeric segments (or \"now\" for the lsn)",
-        );
-    };
-    match run(ObjectId(ob), lsn, Purpose::Value) {
-        Ok((r, decided)) => HttpResponse::Json(JsonValue::obj(vec![
-            ("object", JsonValue::U64(ob)),
-            ("as_of", JsonValue::U64(r.as_of.raw())),
-            ("value", JsonValue::I64(r.value_with(|t| decided.contains(&t)))),
-            (
-                "seeded_from",
-                match r.seeded_from {
-                    Some(l) => JsonValue::U64(l.raw()),
-                    None => JsonValue::Null,
-                },
-            ),
-            (
-                "in_doubt",
-                JsonValue::Arr(r.in_doubt.iter().map(|d| JsonValue::U64(d.txn.raw())).collect()),
-            ),
-        ])),
-        Err(e) => HttpResponse::bad_request(e.to_string()),
-    }
-}
-
-/// `/history/<ob>`: the full `history.v1` version timeline up to the
-/// log's last record. Same mutex-free discipline and `run` contract as
-/// [`introspect_asof`].
-pub(crate) fn introspect_history(
-    rest: &str,
-    run: impl Fn(ObjectId, Lsn, Purpose) -> Result<(crate::reenact::Reenactment, BTreeSet<TxnId>)>,
-) -> HttpResponse {
-    let Ok(ob) = rest.parse::<u64>() else {
-        return HttpResponse::bad_request("object id must be numeric");
-    };
-    match run(ObjectId(ob), Lsn::NULL, Purpose::History) {
-        Ok((r, decided)) => {
-            HttpResponse::Json(r.to_json_range(Lsn::FIRST, r.as_of, |t| decided.contains(&t)))
-        }
-        Err(e) => HttpResponse::bad_request(e.to_string()),
     }
 }
 

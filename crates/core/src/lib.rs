@@ -73,6 +73,6 @@ pub use flight::FlightRecorder;
 pub use history::{Event, Oracle};
 pub use provenance::{ProvHop, ProvenanceTable};
 pub use reenact::{Purpose, Reenactment, VersionRecord};
-pub use replica::{PromotedDb, ReplicaSet};
+pub use replica::ReplicaSet;
 pub use scope::Scope;
 pub use sharded::{ShardMap, ShardedDb, TwoPcFault};

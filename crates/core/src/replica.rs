@@ -238,19 +238,10 @@ struct ReplicaShard {
     applied_cv: Condvar,
 }
 
-/// What a promotion produces: the writable engine(s), ready to serve.
-pub enum PromotedDb {
-    /// An unsharded primary.
-    Single(Box<RhDb>),
-    /// A sharded primary, in-doubt 2PC resolved across the promoted
-    /// shards exactly as sharded recovery resolves it.
-    Sharded(Box<ShardedDb>),
-}
-
 /// A set of per-shard read replicas mirroring one primary (`--shards N`
 /// ⇒ N independent streams, one per shard log), serving LSN-bounded
 /// reads, time-travel queries, and introspection — and promotable into
-/// a writable [`PromotedDb`] when the primary is lost.
+/// a writable [`ShardedDb`] when the primary is lost.
 pub struct ReplicaSet {
     strategy: Strategy,
     config: DbConfig,
@@ -497,25 +488,13 @@ impl ReplicaSet {
         self.with_core(shard, |core| core.log.flush_all())
     }
 
-    /// One shard's stable log half (crash tests keep it to reopen a
-    /// bounced replica).
-    pub fn shard_stable(&self, shard: usize) -> Result<Arc<StableLog>> {
-        self.with_core(shard, |core| Ok(core.log.stable()))
-    }
-
-    /// One shard's disk handle.
-    pub fn shard_disk(&self, shard: usize) -> Result<Arc<Disk>> {
-        self.with_core(shard, |core| Ok(Arc::clone(&core.disk)))
-    }
-
     /// Promotes the whole set into a writable database, consuming the
-    /// replica state (subsequent reads on this set are refused). One
-    /// shard promotes into a plain [`RhDb`]; several promote
-    /// independently and then resolve in-doubt 2PC against the union of
-    /// shipped coordinator decisions — the same
+    /// replica state (subsequent reads on this set are refused). Every
+    /// shard promotes independently, then in-doubt 2PC resolves against
+    /// the union of shipped coordinator decisions — the same
     /// resolve-and-assemble step sharded recovery runs, because
     /// promotion *is* recovery.
-    pub fn promote(&self) -> Result<PromotedDb> {
+    pub fn promote(&self) -> Result<ShardedDb> {
         let mut cores = Vec::with_capacity(self.shards.len());
         for sh in &self.shards {
             let core = sh.replica.lock().core.take();
@@ -526,17 +505,11 @@ impl ReplicaSet {
         for sh in &self.shards {
             sh.applied_cv.notify_all();
         }
-        if cores.len() == 1 {
-            let db = cores.pop().expect("one core").promote()?;
-            return Ok(PromotedDb::Single(Box::new(db)));
-        }
         let mut engines = Vec::with_capacity(cores.len());
         for core in cores {
             engines.push(core.promote()?);
         }
-        let db =
-            ShardedDb::resolve_and_assemble(self.strategy, self.config, self.map.shift(), engines)?;
-        Ok(PromotedDb::Sharded(Box::new(db)))
+        ShardedDb::resolve_and_assemble(self.strategy, self.config, self.map.shift(), engines)
     }
 }
 
@@ -578,16 +551,12 @@ mod tests {
         db.write(t2, A, 99).unwrap();
         db.log().flush_all().unwrap();
         ship_all(&db, &set);
-        match set.promote().unwrap() {
-            PromotedDb::Single(mut newdb) => {
-                let r = newdb.begin().unwrap();
-                assert_eq!(newdb.read(r, A).unwrap(), 10);
-                newdb.commit(r).unwrap();
-                let report = newdb.last_recovery().expect("promotion leaves a report");
-                assert_eq!(report.losers, vec![t2]);
-            }
-            PromotedDb::Sharded(_) => panic!("one shard promotes single"),
-        }
+        let newdb = set.promote().unwrap();
+        let r = newdb.begin().unwrap();
+        assert_eq!(newdb.read(r, A).unwrap(), 10);
+        newdb.commit(r).unwrap();
+        let report = newdb.shard_recovery(0).expect("promotion leaves a report");
+        assert_eq!(report.losers, vec![t2]);
         // The consumed set refuses further reads.
         assert!(matches!(set.value_of(A), Err(RhError::Protocol(_))));
     }
@@ -696,12 +665,8 @@ mod tests {
         }
         assert_eq!(set.value_of(oa).unwrap(), 11);
         assert_eq!(set.value_of(ob).unwrap(), 22);
-        match set.promote().unwrap() {
-            PromotedDb::Sharded(newdb) => {
-                assert_eq!(newdb.value_of(oa).unwrap(), 11);
-                assert_eq!(newdb.value_of(ob).unwrap(), 22);
-            }
-            PromotedDb::Single(_) => panic!("two shards promote sharded"),
-        }
+        let newdb = set.promote().unwrap();
+        assert_eq!(newdb.value_of(oa).unwrap(), 11);
+        assert_eq!(newdb.value_of(ob).unwrap(), 22);
     }
 }

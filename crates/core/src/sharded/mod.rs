@@ -61,14 +61,13 @@ use rh_common::codec::Codec;
 use rh_common::ops::Value;
 use rh_common::{Lsn, ObjectId, Result, RhError, TxnId};
 use rh_lock::LockManager;
-use rh_obs::{
-    names, promtext, HttpResponse, IntrospectionServer, JsonValue, Obs, RegistrySnapshot, Sampler,
-    Stopwatch,
-};
+use rh_obs::{names, IntrospectionServer, JsonValue, Obs, RegistrySnapshot, Sampler, Stopwatch};
 use rh_storage::Disk;
 use rh_wal::{LogManager, StableLog};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
+
+mod introspect;
 
 /// Maps object ids to shard indices: `shard_of(ob) = (ob >> shift) % n`.
 ///
@@ -138,14 +137,10 @@ pub enum TwoPcFault {
 }
 
 /// One shard: the engine behind its mutex, plus the handles the router
-/// needs without that mutex (stats, introspection, provenance).
+/// needs without that mutex.
 struct ShardCell {
     engine: Mutex<RhDb>,
-    log: Arc<LogManager>,
-    disk: Arc<Disk>,
-    locks: Arc<LockManager>,
-    obs: Arc<Obs>,
-    prov: Arc<Mutex<ProvenanceTable>>,
+    view: ShardView,
 }
 
 impl ShardCell {
@@ -154,15 +149,76 @@ impl ShardCell {
     /// lock-witness enforces that ascent per-site instead of flagging
     /// the same-site nesting as a self-cycle (DESIGN.md §15).
     fn new(db: RhDb, rank: u32) -> Self {
-        ShardCell {
+        let view = ShardView {
             log: Arc::clone(db.log()),
             disk: Arc::clone(db.disk()),
             locks: Arc::clone(db.locks()),
             obs: Arc::clone(db.obs()),
             prov: db.prov_handle(),
-            engine: Mutex::named_ordered(db, names::LS_CORE_ENGINE, rank),
-        }
+            postmortem: db.postmortem_handle(),
+        };
+        ShardCell { engine: Mutex::named_ordered(db, names::LS_CORE_ENGINE, rank), view }
     }
+}
+
+/// The handles of one shard that need no engine mutex: stats,
+/// provenance, reenactment and the introspection routes read these.
+#[derive(Clone)]
+struct ShardView {
+    log: Arc<LogManager>,
+    disk: Arc<Disk>,
+    locks: Arc<LockManager>,
+    obs: Arc<Obs>,
+    prov: Arc<Mutex<ProvenanceTable>>,
+    postmortem: Arc<Mutex<Option<JsonValue>>>,
+}
+
+impl ShardView {
+    /// The shard's provenance table, as JSON.
+    fn provenance_json(&self) -> JsonValue {
+        self.prov.lock().to_json()
+    }
+
+    /// The predecessor postmortem the shard's recovery built, or `null`
+    /// when it found no predecessor black box.
+    fn postmortem_json(&self) -> JsonValue {
+        self.postmortem.lock().clone().unwrap_or(JsonValue::Null)
+    }
+
+    /// The shard's registry with its log, disk and lock-manager counters
+    /// absorbed (absolute values, so repeated calls are idempotent).
+    fn absorbed(&self) -> RegistrySnapshot {
+        self.log.metrics().snapshot().export_into(&self.obs.registry);
+        self.disk.metrics().snapshot().export_into(&self.obs.registry);
+        self.locks.stats().snapshot().export_into(&self.obs.registry);
+        self.obs.registry.snapshot()
+    }
+}
+
+/// The router's registry merge-summed with every shard's absorbed one.
+fn merged_stats<'a>(router: &Obs, views: impl Iterator<Item = &'a ShardView>) -> RegistrySnapshot {
+    let mut merged = router.registry.snapshot();
+    for v in views {
+        merged.merge_sum(&v.absorbed());
+    }
+    merged
+}
+
+/// Reenacts `ob` at `as_of` on its owning shard's log (`owner`) and
+/// stitches the in-doubt outcomes from the coordinator decisions in
+/// every shard's log. Takes no engine mutex.
+fn reenact_on(
+    owner: &ShardView,
+    logs: &[&Arc<LogManager>],
+    router: &Obs,
+    ob: ObjectId,
+    as_of: Lsn,
+    purpose: Purpose,
+) -> Result<(Reenactment, BTreeSet<TxnId>)> {
+    let r = reenact::query(&owner.log, &owner.obs, ob, as_of, purpose)?;
+    let in_doubt: Vec<TxnId> = r.in_doubt.iter().map(|d| d.txn).collect();
+    let decided = coord_decisions_in(logs, &in_doubt, router);
+    Ok((r, decided))
 }
 
 /// Router-side state of one global transaction.
@@ -227,7 +283,7 @@ impl ShardedDb {
     pub fn new_mem(strategy: Strategy, shards: usize, shift: u32) -> Self {
         let config = DbConfig::default();
         let engines = (0..shards.max(1)).map(|_| RhDb::with_config(strategy, config)).collect();
-        Self::from_engines(strategy, config, shift, engines, Arc::new(Obs::new()), 0)
+        Self::from_engines(strategy, config, shift, engines, Arc::new(Obs::new()))
     }
 
     /// Creates a fresh sharded database over the given stable log
@@ -246,7 +302,7 @@ impl ShardedDb {
         }
         let engines =
             stables.into_iter().map(|s| RhDb::with_stable_log(strategy, config, s)).collect();
-        Ok(Self::from_engines(strategy, config, shift, engines, Arc::new(Obs::new()), 0))
+        Ok(Self::from_engines(strategy, config, shift, engines, Arc::new(Obs::new())))
     }
 
     /// Recovers a sharded database from per-shard stable state. Shards
@@ -337,19 +393,20 @@ impl ShardedDb {
         }
         obs.registry.add(names::M_SHARD_INDOUBT_RESOLVED, resolved);
         obs.registry.add(names::M_SHARD_INDOUBT_COMMITTED, committed);
-
-        let next_txn = engines.iter().map(RhDb::next_txn_hint).max().unwrap_or(0);
-        Ok(Self::from_engines(strategy, config, shift, engines, obs, next_txn))
+        Ok(Self::from_engines(strategy, config, shift, engines, obs))
     }
 
+    /// Assembles the router over `engines`, one shard each. The global
+    /// transaction counter starts past every id an engine has handed
+    /// out, so a recovered or adopted engine's ids are never reused.
     fn from_engines(
         strategy: Strategy,
         config: DbConfig,
         shift: u32,
         engines: Vec<RhDb>,
         obs: Arc<Obs>,
-        next_txn: u64,
     ) -> Self {
+        let next_txn = engines.iter().map(RhDb::next_txn_hint).max().unwrap_or(0);
         let map = ShardMap::new(engines.len(), shift);
         ShardedDb {
             strategy,
@@ -402,14 +459,14 @@ impl ShardedDb {
 
     /// Shard `shard`'s log manager (tests inspect per-shard logs).
     pub fn shard_log(&self, shard: usize) -> Option<&Arc<LogManager>> {
-        self.shards.get(shard).map(|c| &c.log)
+        self.shards.get(shard).map(|c| &c.view.log)
     }
 
     /// Shard `shard`'s observability hub (tests lower its slow-op
     /// threshold and read its trace ring; 2PC edge phases land here, on
     /// the shard where each edge ran).
     pub fn shard_obs(&self, shard: usize) -> Option<&Arc<Obs>> {
-        self.shards.get(shard).map(|c| &c.obs)
+        self.shards.get(shard).map(|c| &c.view.obs)
     }
 
     /// Freezes a black-box record in every shard's flight recorder (a
@@ -424,18 +481,6 @@ impl ShardedDb {
             // rh-analyze: allow(L6)
             engine.record_blackbox(reason);
         }
-    }
-
-    /// Shard 0's log manager — for callers that need *a* representative
-    /// log handle (the network front-end's `stable()` accessor). Shards
-    /// are never empty, so the index always resolves.
-    pub fn primary_log(&self) -> &Arc<LogManager> {
-        &self.shards[0].log
-    }
-
-    /// Shard 0's disk handle (see [`ShardedDb::primary_log`]).
-    pub fn primary_disk(&self) -> &Arc<Disk> {
-        &self.shards[0].disk
     }
 
     /// The recovery report of shard `shard`'s current incarnation, if it
@@ -567,7 +612,7 @@ impl ShardedDb {
                     prepare_us,
                 );
                 let forced = Stopwatch::start();
-                cell.log.flush_to(lsn)?;
+                cell.view.log.flush_to(lsn)?;
                 let flush_us = forced.elapsed_micros();
                 let phases = vec![
                     (names::PH_ENGINE_HOLD, engine_us),
@@ -575,7 +620,7 @@ impl ShardedDb {
                     (names::PH_FLUSH_WAIT, flush_us),
                 ];
                 for &(name, us) in &phases {
-                    cell.obs.tracer.phase(name, txn.0, trace, us);
+                    cell.view.obs.tracer.phase(name, txn.0, trace, us);
                 }
                 Ok(phases)
             }
@@ -589,7 +634,7 @@ impl ShardedDb {
             let mut engine = self.shards[shard].engine.lock();
             engine.prepare_commit(txn)?
         };
-        self.shards[shard].log.flush_to(lsn)
+        self.shards[shard].view.log.flush_to(lsn)
     }
 
     /// Best-effort rollback of one shard's half of a doomed cross-shard
@@ -663,13 +708,13 @@ impl ShardedDb {
         let participants: Vec<u32> = rest.iter().map(|&s| s as u32).collect();
         let appended = {
             let mut engine = self.shards[coord].engine.lock();
-            let before = self.shards[coord].log.curr_lsn();
+            let before = self.shards[coord].view.log.curr_lsn();
             engine
                 // The coordinator's commit record must be durable before any
                 // participant resolves — forced under the coord shard mutex.
                 // rh-analyze: allow(L6)
                 .append_coord_commit(txn, &participants)
-                .map_err(|e| (e, self.shards[coord].log.curr_lsn() == before))
+                .map_err(|e| (e, self.shards[coord].view.log.curr_lsn() == before))
         };
         let lsn = match appended {
             Ok(lsn) => lsn,
@@ -688,7 +733,7 @@ impl ShardedDb {
         // A flush failure here is the same ambiguity: the record is
         // appended and may yet reach the disk, so the outcome stays
         // undecided until recovery — no unwind.
-        self.shards[coord].log.flush_to(lsn)?;
+        self.shards[coord].view.log.flush_to(lsn)?;
         phases.push(self.edge_phase(names::PH_2PC_COORD, coord, txn, trace, &coord_edge));
         self.obs.registry.inc(names::M_SHARD_2PC_COMMITS);
         self.fault_point(TwoPcFault::AfterCoordCommit)?;
@@ -739,7 +784,7 @@ impl ShardedDb {
         edge: &Stopwatch,
     ) -> (&'static str, u64) {
         let us = edge.elapsed_micros();
-        let obs = &self.shards[shard].obs;
+        let obs = &self.shards[shard].view.obs;
         obs.tracer.phase(name, txn.0, trace, us);
         if us >= obs.slowops.threshold_us() {
             obs.record_slow_op(name, txn.0, trace, us, vec![(name, us)]);
@@ -869,7 +914,7 @@ impl ShardedDb {
                 let mut engine = cell.engine.lock();
                 marks.push(engine.savepoint(txn)?);
             } else {
-                marks.push(cell.log.curr_lsn());
+                marks.push(cell.view.log.curr_lsn());
             }
         }
         entry.savepoints.insert(token, marks);
@@ -925,7 +970,7 @@ impl ShardedDb {
     /// per-shard checkpoints still resolves every in-doubt transaction.
     pub fn checkpoint_all(&self) -> Result<()> {
         for cell in &self.shards {
-            cell.log.flush_all()?;
+            cell.view.log.flush_all()?;
         }
         self.retire_durable_decisions();
         for (i, cell) in self.shards.iter().enumerate() {
@@ -954,7 +999,7 @@ impl ShardedDb {
             let durable = p
                 .commits
                 .iter()
-                .all(|&(shard, lsn)| lsn.raw() < self.shards[shard].log.durable_len());
+                .all(|&(shard, lsn)| lsn.raw() < self.shards[shard].view.log.durable_len());
             if durable {
                 let mut engine = self.shards[p.coord].engine.lock();
                 if engine.retire_coord_decision(p.txn) {
@@ -982,14 +1027,7 @@ impl ShardedDb {
     /// Takes no engine mutex — safe to call from the introspection
     /// thread while commits are in flight.
     pub fn stats(&self) -> RegistrySnapshot {
-        let mut merged = self.obs.registry.snapshot();
-        for cell in &self.shards {
-            cell.log.metrics().snapshot().export_into(&cell.obs.registry);
-            cell.disk.metrics().snapshot().export_into(&cell.obs.registry);
-            cell.locks.stats().snapshot().export_into(&cell.obs.registry);
-            merged.merge_sum(&cell.obs.registry.snapshot());
-        }
-        merged
+        merged_stats(&self.obs, self.shards.iter().map(|c| &c.view))
     }
 
     /// The delegation provenance chain of `ob`, from its owning shard.
@@ -998,14 +1036,19 @@ impl ShardedDb {
     /// were shard-local or part of cross-shard transactions.
     pub fn provenance(&self, ob: ObjectId) -> Vec<ProvHop> {
         match self.shards.get(self.map.shard_of(ob)) {
-            Some(cell) => cell.prov.lock().chain(ob).to_vec(),
+            Some(cell) => cell.view.prov.lock().chain(ob).to_vec(),
             None => Vec::new(),
         }
     }
 
-    /// Every shard's provenance table as a JSON array indexed by shard.
-    pub fn provenance_json(&self) -> JsonValue {
-        JsonValue::Arr(self.shards.iter().map(|c| c.prov.lock().to_json()).collect())
+    /// Panics if any shard violates a volatile scope invariant (see
+    /// [`RhDb::validate_scope_invariants`]).
+    #[doc(hidden)]
+    pub fn validate_scope_invariants(&self) {
+        for cell in &self.shards {
+            let engine = cell.engine.lock();
+            engine.validate_scope_invariants();
+        }
     }
 
     // ---- time travel ---------------------------------------------------
@@ -1043,197 +1086,9 @@ impl ShardedDb {
         as_of: Lsn,
         purpose: Purpose,
     ) -> Result<(Reenactment, BTreeSet<TxnId>)> {
-        let cell = &self.shards[self.map.shard_of(ob)];
-        let r = reenact::query(&cell.log, &cell.obs, ob, as_of, purpose)?;
-        let in_doubt: Vec<TxnId> = r.in_doubt.iter().map(|d| d.txn).collect();
-        let logs: Vec<&Arc<LogManager>> = self.shards.iter().map(|c| &c.log).collect();
-        let decided = coord_decisions_in(&logs, &in_doubt, &self.obs);
-        Ok((r, decided))
-    }
-
-    /// Starts the live introspection endpoint on `addr` (use port 0 for
-    /// ephemeral). Routes: `/stats` (merged registry, JSON), `/metrics`
-    /// (the same registry in Prometheus text exposition), `/timeseries`
-    /// / `/slowops` / `/trace` (router plus per-shard views — queue
-    /// phases live on the router, 2PC edge phases on the shards, so a
-    /// stitcher needs both), `/provenance`, `/provenance/<ob>` (routed
-    /// to the owning shard). Holds no engine mutex on any route. Also
-    /// spawns the cadence sampler that feeds `/timeseries` once per
-    /// second until [`ShardedDb::stop_introspection`].
-    pub fn serve_introspection(&self, addr: &str) -> std::io::Result<std::net::SocketAddr> {
-        self.serve_introspection_with(addr, &[], None)
-    }
-
-    /// [`ShardedDb::serve_introspection`] with caller-supplied routes:
-    /// `extra` is consulted before the built-in match (so a host can
-    /// mount e.g. `/replication`), and `extra_endpoints` extends the
-    /// endpoint listing printed on the index page.
-    pub fn serve_introspection_with(
-        &self,
-        addr: &str,
-        extra_endpoints: &[&str],
-        extra: Option<rh_obs::Handler>,
-    ) -> std::io::Result<std::net::SocketAddr> {
-        let router_obs = Arc::clone(&self.obs);
-        let map = self.map;
-        let cells: Vec<_> = self
-            .shards
-            .iter()
-            .map(|c| {
-                (
-                    Arc::clone(&c.log),
-                    Arc::clone(&c.disk),
-                    Arc::clone(&c.locks),
-                    Arc::clone(&c.obs),
-                    Arc::clone(&c.prov),
-                )
-            })
-            .collect();
-        // One absorbed+merged registry view shared by /stats, /metrics,
-        // and the sampler tick — the same arithmetic as `stats()`.
-        let merged_snapshot = {
-            let router_obs = Arc::clone(&router_obs);
-            let cells = cells.clone();
-            move || {
-                let mut merged = router_obs.registry.snapshot();
-                for (log, disk, locks, obs, _prov) in &cells {
-                    log.metrics().snapshot().export_into(&obs.registry);
-                    disk.metrics().snapshot().export_into(&obs.registry);
-                    locks.stats().snapshot().export_into(&obs.registry);
-                    merged.merge_sum(&obs.registry.snapshot());
-                }
-                merged
-            }
-        };
-        let mut endpoints = vec![
-            "/stats",
-            "/metrics",
-            "/timeseries",
-            "/slowops",
-            "/trace",
-            "/provenance",
-            "/asof/<ob>/<lsn>",
-            "/history/<ob>",
-        ];
-        endpoints.extend_from_slice(extra_endpoints);
-        let handler: rh_obs::Handler = {
-            let merged_snapshot = merged_snapshot.clone();
-            let router_obs = Arc::clone(&router_obs);
-            Arc::new(move |path: &str| {
-                if let Some(hit) = extra.as_ref().and_then(|h| h(path)) {
-                    return Some(hit);
-                }
-                match path {
-                    "/stats" => Some(HttpResponse::Json(merged_snapshot().to_json())),
-                    "/metrics" => Some(HttpResponse::Text {
-                        content_type: rh_obs::serve::PROMETHEUS_CONTENT_TYPE,
-                        body: promtext::render(&merged_snapshot()),
-                    }),
-                    "/timeseries" => Some(HttpResponse::Json(JsonValue::obj(vec![
-                        ("router", router_obs.timeseries.to_json()),
-                        (
-                            "shards",
-                            JsonValue::Arr(
-                                cells
-                                    .iter()
-                                    .map(|(_, _, _, obs, _)| obs.timeseries.to_json())
-                                    .collect(),
-                            ),
-                        ),
-                    ]))),
-                    "/slowops" => Some(HttpResponse::Json(JsonValue::obj(vec![
-                        ("router", router_obs.slowops.to_json()),
-                        (
-                            "shards",
-                            JsonValue::Arr(
-                                cells
-                                    .iter()
-                                    .map(|(_, _, _, obs, _)| obs.slowops.to_json())
-                                    .collect(),
-                            ),
-                        ),
-                    ]))),
-                    "/trace" => Some(HttpResponse::Json(JsonValue::obj(vec![
-                        ("router", router_obs.tracer.snapshot().to_json()),
-                        (
-                            "shards",
-                            JsonValue::Arr(
-                                cells
-                                    .iter()
-                                    .map(|(_, _, _, obs, _)| obs.tracer.snapshot().to_json())
-                                    .collect(),
-                            ),
-                        ),
-                    ]))),
-                    "/provenance" => {
-                        let tables: Vec<JsonValue> =
-                            cells.iter().map(|(_, _, _, _, prov)| prov.lock().to_json()).collect();
-                        Some(HttpResponse::Json(JsonValue::Arr(tables)))
-                    }
-                    p => {
-                        // Reenacts on the owning shard's log, stitching
-                        // in-doubt 2PC outcomes from every shard's durable
-                        // coordinator decisions — no engine mutex anywhere.
-                        let reenact = |ob: ObjectId, lsn: Lsn, purpose| {
-                            let (log, _, _, obs, _) = &cells[map.shard_of(ob)];
-                            let r = crate::reenact::query(log, obs, ob, lsn, purpose)?;
-                            let in_doubt: Vec<TxnId> = r.in_doubt.iter().map(|d| d.txn).collect();
-                            let logs: Vec<&Arc<LogManager>> =
-                                cells.iter().map(|(log, _, _, _, _)| log).collect();
-                            let decided = coord_decisions_in(&logs, &in_doubt, &router_obs);
-                            Ok((r, decided))
-                        };
-                        if let Some(rest) = p.strip_prefix("/asof/") {
-                            Some(crate::engine::introspect_asof(rest, reenact))
-                        } else if let Some(rest) = p.strip_prefix("/history/") {
-                            Some(crate::engine::introspect_history(rest, reenact))
-                        } else if let Some(rest) = p.strip_prefix("/provenance/") {
-                            // Malformed segments are a 400, not a 404: the
-                            // route shape matched, the parameter did not.
-                            match rest.parse::<u64>() {
-                                Ok(ob) => {
-                                    let (_, _, _, _, prov) = &cells[map.shard_of(ObjectId(ob))];
-                                    let chain = prov.lock();
-                                    Some(HttpResponse::Json(JsonValue::Arr(
-                                        chain
-                                            .chain(ObjectId(ob))
-                                            .iter()
-                                            .map(ProvHop::to_json)
-                                            .collect(),
-                                    )))
-                                }
-                                Err(_) => {
-                                    Some(HttpResponse::bad_request("object id must be numeric"))
-                                }
-                            }
-                        } else {
-                            None
-                        }
-                    }
-                }
-            })
-        };
-        let server = IntrospectionServer::bind(addr, &endpoints, handler)?;
-        let bound = server.local_addr();
-        let tick_obs = Arc::clone(&self.obs);
-        let sampler = Sampler::spawn_every(
-            std::time::Duration::from_secs(1),
-            Box::new(move || {
-                tick_obs.registry.inc(names::M_TS_SAMPLES);
-                crate::witness_bridge::sample_lock_witness(&tick_obs.registry);
-                tick_obs.timeseries.sample(&merged_snapshot());
-            }),
-        );
-        *self.sampler.lock() = Some(sampler);
-        *self.server.lock() = Some(server);
-        Ok(bound)
-    }
-
-    /// Stops the introspection endpoint (and its cadence sampler), if
-    /// running.
-    pub fn stop_introspection(&self) {
-        *self.sampler.lock() = None;
-        *self.server.lock() = None;
+        let owner = &self.shards[self.map.shard_of(ob)].view;
+        let logs: Vec<&Arc<LogManager>> = self.shards.iter().map(|c| &c.view.log).collect();
+        reenact_on(owner, &logs, &self.obs, ob, as_of, purpose)
     }
 
     // ---- crash ---------------------------------------------------------
@@ -1302,6 +1157,17 @@ fn decisions_in(log: &LogManager, txns: &[TxnId], decided: &mut BTreeSet<TxnId>)
         below = cl.prev();
     }
     Ok(())
+}
+
+/// Adopts a lone engine as a one-shard database: the shape every
+/// served deployment has. The router's transaction counter continues
+/// the engine's. Nothing is resolved: a lone engine takes no part in
+/// two-phase commit, so it has no in-doubt transaction to resolve.
+impl From<RhDb> for ShardedDb {
+    fn from(db: RhDb) -> Self {
+        let (strategy, config) = (db.strategy(), db.config());
+        Self::from_engines(strategy, config, ShardMap::RANGE_SHIFT, vec![db], Arc::new(Obs::new()))
+    }
 }
 
 impl TxnEngine for ShardedDb {

@@ -2,8 +2,8 @@
 //!
 //! The witness lives in the `parking_lot` compat shim, below the
 //! observability layer, so it cannot push into an [`rh_obs::Registry`]
-//! itself. This module is the other half of that bargain: the cadence
-//! samplers (single-engine and sharded router) call
+//! itself. This module is the other half of that bargain: the
+//! introspection endpoint's cadence sampler calls
 //! [`sample_lock_witness`] once per tick, copying the witness's global
 //! aggregates into `lockwitness.*` gauges so `/metrics`, `/timeseries`,
 //! and the experiment artifacts see them alongside everything else.

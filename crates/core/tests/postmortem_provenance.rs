@@ -8,6 +8,7 @@ use rh_common::ops::Value;
 use rh_common::{ObjectId, TxnId};
 use rh_core::engine::{DbConfig, RhDb, Strategy};
 use rh_core::history::{Event, Label, Oracle};
+use rh_core::sharded::ShardedDb;
 use rh_core::TxnEngine;
 use rh_obs::JsonValue;
 use rh_storage::Disk;
@@ -173,10 +174,17 @@ fn chain_survives_crashed_recovery(strategy: Strategy, crash_mid_recovery: bool)
     assert_eq!(db.stats().counter(rh_obs::names::M_BLACKBOX_RECORDS), 1);
 
     // ---- live introspection over TCP ---------------------------------
+    let db = ShardedDb::from(db);
     let addr = db.serve_introspection("127.0.0.1:0").expect("bind");
     let pm_wire = http_get(addr, "/postmortem");
     assert_eq!(
-        pm_wire.get("predecessor").and_then(|p| p.get("reason")).and_then(JsonValue::as_str),
+        pm_wire
+            .as_arr()
+            .and_then(|shards| shards.first())
+            .expect("shard 0's entry")
+            .get("predecessor")
+            .and_then(|p| p.get("reason"))
+            .and_then(JsonValue::as_str),
         Some("pre-crash"),
         "postmortem served over the wire"
     );

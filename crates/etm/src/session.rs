@@ -19,8 +19,7 @@ use std::collections::HashMap;
 
 /// A transaction body: runs with the session and its own id, returns
 /// `Ok(true)` on success (the paper's `wait(t)` truthiness). `Send` so a
-/// session can live behind a mutex shared across service threads (the
-/// `rh-server` front-end does exactly that).
+/// session can move to, or be shared across, threads.
 pub type Task<E> = Box<dyn FnOnce(&mut EtmSession<E>, TxnId) -> Result<bool> + Send>;
 
 /// Recorded outcome of a task run.
@@ -161,29 +160,15 @@ impl<E: TxnEngine> EtmSession<E> {
         self.engine.delegate_all(tor, tee)
     }
 
-    /// `commit(t)`: enforce commit-side dependencies, then commit.
+    /// `commit(t)`: enforce commit-side dependencies, commit, and record
+    /// the outcome in the dependency graph.
     pub fn commit(&mut self, t: TxnId) -> Result<()> {
-        self.commit_with(t, |engine, t| engine.commit(t))
-    }
-
-    /// `commit(t)` with a caller-supplied engine commit step: enforces
-    /// commit-side dependencies, runs `commit_fn`, and records the
-    /// outcome in the dependency graph. The network front-end uses this
-    /// with [`rh_core::engine::RhDb::commit_prepare`] so the durable
-    /// log force can happen *outside* the session lock (group commit);
-    /// `commit_fn` must leave the engine transaction terminated.
-    pub fn commit_with<R>(
-        &mut self,
-        t: TxnId,
-        commit_fn: impl FnOnce(&mut E, TxnId) -> Result<R>,
-    ) -> Result<R> {
-        if let Some((blocker, _)) = self.deps.commit_blocker(t) {
-            let _ = blocker;
+        if self.deps.commit_blocker(t).is_some() {
             return Err(RhError::Protocol("commit blocked by an unsatisfied dependency"));
         }
-        let out = commit_fn(&mut self.engine, t)?;
+        self.engine.commit(t)?;
         self.deps.committed(t);
-        Ok(out)
+        Ok(())
     }
 
     /// `abort(t)`, cascading along abort- and strong-commit-dependencies.

@@ -260,8 +260,8 @@ pub const M_EOS_ITEMS_REPLAYED: &str = "eos.items_replayed";
 pub const M_EOS_ITEMS_DISCARDED: &str = "eos.items_discarded";
 
 // ---- network front-end (rh-server) ------------------------------------
-// Maintained directly by `rh-server`; exported through the same registry
-// the engine's `RhDb::stats()` and `/stats` introspection route serve.
+// Maintained directly by `rh-server` in the router's registry; exported
+// through `ShardedDb::stats()` and the `/stats` introspection route.
 
 /// Sessions accepted by the front-end (hello exchanged).
 pub const M_SRV_SESSIONS_OPENED: &str = "server.sessions.opened";
@@ -368,8 +368,6 @@ pub const M_ETM_CASCADE_ABORTS: &str = "etm.cascade_aborts";
 // shows up as an unpredicted dynamic edge. The `fixture.` prefix is
 // reserved for deliberate test rigs and excluded from exports.
 
-/// The single-backend engine mutex (serializes every engine call).
-pub const LS_SERVER_ENGINE: &str = "server.engine";
 /// The server's session table.
 pub const LS_SERVER_SESSIONS: &str = "server.sessions";
 /// The server's reaper-thread join handles.

@@ -2,25 +2,26 @@
 //!
 //! ```text
 //! rh-serve --dir target/obs/db --addr 127.0.0.1:7411 \
-//!          [--shards N] [--introspect 127.0.0.1:7412] [--strategy rh|lazy] \
+//!          [--shards N] [--introspect 127.0.0.1:7412] \
 //!          [--max-sessions N] [--inflight N] [--idle-ms N]
 //! ```
 //!
-//! Opens (or creates) a file-backed WAL in `--dir`. A non-empty log
-//! with a NULL master record is the crash-restart case: the server
-//! runs restart recovery first and prints the report, so a kill-9'd
-//! predecessor's acknowledged commits are back before the first
-//! connection is accepted. A non-NULL master means the directory was
-//! closed by a *graceful* drain-and-checkpoint; its page state lives in
-//! the drained process's disk image, which files alone cannot rebuild —
-//! the server refuses such a directory rather than serve wrong data.
+//! Serves an N-shard database (`--shards`, default 1): requests route
+//! by object id, and cross-shard transactions commit through two-phase
+//! commit. Each shard keeps its own file-backed WAL segment directory
+//! and flight-recorder sidecar: `--dir` itself for one shard,
+//! `--dir/shard-K/` for shard K of several.
 //!
-//! With `--shards N` (N > 1) the engine is range-sharded: each shard
-//! keeps its own WAL segment directory `--dir/shard-K/` (plus its own
-//! flight-recorder sidecar), requests route by object id, and
-//! cross-shard transactions commit through two-phase commit. A
-//! crash-restart recovers every shard in parallel and resolves in-doubt
-//! 2PC transactions against the coordinator records before serving.
+//! An all-empty set of logs is a fresh database. Otherwise a log with
+//! a NULL master record is the crash-restart case: every shard runs
+//! restart recovery in parallel, in-doubt 2PC transactions resolve
+//! against the coordinator records, and the server prints the reports,
+//! so a kill-9'd predecessor's acknowledged commits are back before the
+//! first connection is accepted. A non-NULL master means the directory
+//! was closed by a *graceful* drain-and-checkpoint; its page state lives
+//! in the drained process's disk image, which files alone cannot
+//! rebuild — the server refuses such a directory rather than serve
+//! wrong data.
 //!
 //! The process exits on a wire `Shutdown` op (graceful drain +
 //! checkpoint). Kill it with a signal to exercise the crash path
@@ -37,8 +38,8 @@
 //! primary. Primaries always accept `ReplSubscribe`, so any server
 //! started by this binary can feed replicas.
 
-use rh_core::engine::{DbConfig, RhDb, Strategy};
-use rh_core::replica::{PromotedDb, ReplicaSet};
+use rh_core::engine::{DbConfig, Strategy};
+use rh_core::replica::ReplicaSet;
 use rh_core::sharded::{ShardMap, ShardedDb};
 use rh_server::{ReplRegistry, ReplicaRunner, RunnerConfig, Server, ServerConfig};
 use rh_storage::Disk;
@@ -50,7 +51,6 @@ struct Args {
     dir: String,
     addr: String,
     introspect: Option<String>,
-    strategy: Strategy,
     shards: usize,
     replica_of: Option<String>,
     promote: bool,
@@ -61,7 +61,7 @@ fn usage(reason: &str) -> ! {
     eprintln!("rh-serve: {reason}");
     eprintln!(
         "usage: rh-serve --dir PATH [--addr HOST:PORT] [--shards N] \
-         [--introspect HOST:PORT] [--strategy rh|lazy] [--max-sessions N] \
+         [--introspect HOST:PORT] [--max-sessions N] \
          [--inflight N] [--idle-ms N] [--replica-of HOST:PORT [--promote]]"
     );
     std::process::exit(2);
@@ -72,7 +72,6 @@ fn parse_args() -> Args {
         dir: String::new(),
         addr: "127.0.0.1:7411".to_string(),
         introspect: None,
-        strategy: Strategy::Rh,
         shards: 1,
         replica_of: None,
         promote: false,
@@ -88,13 +87,6 @@ fn parse_args() -> Args {
             "--dir" => out.dir = value("--dir"),
             "--addr" => out.addr = value("--addr"),
             "--introspect" => out.introspect = Some(value("--introspect")),
-            "--strategy" => {
-                out.strategy = match value("--strategy").as_str() {
-                    "rh" => Strategy::Rh,
-                    "lazy" => Strategy::LazyRewrite,
-                    other => usage(&format!("unknown strategy {other}")),
-                }
-            }
             "--shards" => match value("--shards").parse() {
                 Ok(n) if n >= 1 => out.shards = n,
                 _ => usage("--shards needs an integer >= 1"),
@@ -125,69 +117,54 @@ fn parse_args() -> Args {
     out
 }
 
-/// The graceful-drain refusal, shared by both configurations.
-fn refuse_drained(dir: &str, master: rh_common::Lsn) -> String {
-    format!(
-        "{dir} was closed by a graceful drain (checkpoint taken at {master}); its page state \
-         lives in the drained process's disk image and cannot be rebuilt from the log \
-         alone. Serve a fresh --dir, or restart only after crashes."
-    )
+/// `"1 shard"`, `"4 shards"`.
+fn shard_count(n: usize) -> String {
+    format!("{n} shard{}", if n == 1 { "" } else { "s" })
 }
 
-fn open_engine(args: &Args) -> Result<RhDb, String> {
-    let stable = StableLog::open_dir(&args.dir).map_err(|e| format!("open {}: {e}", args.dir))?;
-    if stable.is_empty() {
-        println!("rh-serve: fresh database in {}", args.dir);
-        return Ok(RhDb::with_stable_log(args.strategy, DbConfig::default(), stable));
-    }
-    if !stable.master().is_null() {
-        return Err(refuse_drained(&args.dir, stable.master()));
-    }
-    println!("rh-serve: crash-restart of {} ({} stable records)", args.dir, stable.len());
-    let db = RhDb::recover(args.strategy, DbConfig::default(), stable, Disk::new())
-        .map_err(|e| format!("recovery failed: {e}"))?;
-    if let Some(report) = db.last_recovery() {
-        println!("rh-serve: recovery report: {report:?}");
-    }
-    Ok(db)
-}
-
-/// Opens (or creates / crash-recovers) the per-shard WAL directories
-/// `--dir/shard-0 .. shard-N-1`. The tri-state is uniform across
-/// shards: any shard closed by a graceful drain refuses the whole
-/// directory; all-empty is a fresh database; anything else is a
-/// crash-restart, recovered shard-parallel with in-doubt 2PC resolution.
-fn open_sharded(args: &Args) -> Result<ShardedDb, String> {
+/// Opens every shard's WAL directory — `--dir` itself for one shard,
+/// `--dir/shard-K` otherwise, for primaries and replicas alike, so a
+/// promoted replica's directory is indistinguishable from a primary's.
+/// Any shard closed by a graceful drain refuses the whole directory.
+fn open_stables(args: &Args) -> Result<Vec<Arc<StableLog>>, String> {
     let mut stables = Vec::with_capacity(args.shards);
-    let mut empty = 0usize;
     for k in 0..args.shards {
-        let dir = format!("{}/shard-{k}", args.dir);
+        let dir =
+            if args.shards == 1 { args.dir.clone() } else { format!("{}/shard-{k}", args.dir) };
         let stable = StableLog::open_dir(&dir).map_err(|e| format!("open {dir}: {e}"))?;
-        if !stable.master().is_null() {
-            return Err(refuse_drained(&dir, stable.master()));
-        }
-        if stable.is_empty() {
-            empty += 1;
+        let master = stable.master();
+        if !master.is_null() {
+            return Err(format!(
+                "{dir} was closed by a graceful drain (checkpoint taken at {master}); its page \
+                 state lives in the drained process's disk image and cannot be rebuilt from the \
+                 log alone. Serve a fresh --dir, or restart only after crashes."
+            ));
         }
         stables.push(stable);
     }
-    if empty == args.shards {
-        println!("rh-serve: fresh sharded database in {} ({} shards)", args.dir, args.shards);
+    Ok(stables)
+}
+
+/// Opens (or creates / crash-recovers) the database: all-empty logs are
+/// a fresh database; anything else is a crash-restart, recovered
+/// shard-parallel with in-doubt 2PC resolution.
+fn open_primary(args: &Args) -> Result<ShardedDb, String> {
+    let stables = open_stables(args)?;
+    let shards = shard_count(args.shards);
+    if stables.iter().all(|s| s.is_empty()) {
+        println!("rh-serve: fresh database in {} ({shards})", args.dir);
         return ShardedDb::with_stable_logs(
-            args.strategy,
+            Strategy::Rh,
             DbConfig::default(),
             stables,
             ShardMap::RANGE_SHIFT,
         )
-        .map_err(|e| format!("open sharded: {e}"));
+        .map_err(|e| format!("open: {e}"));
     }
     let records: usize = stables.iter().map(|s| s.len()).sum();
-    println!(
-        "rh-serve: crash-restart of {} ({} shards, {} stable records)",
-        args.dir, args.shards, records
-    );
+    println!("rh-serve: crash-restart of {} ({shards}, {records} stable records)", args.dir);
     let parts = stables.into_iter().map(|s| (s, Disk::new())).collect();
-    let db = ShardedDb::recover(args.strategy, DbConfig::default(), parts, ShardMap::RANGE_SHIFT)
+    let db = ShardedDb::recover(Strategy::Rh, DbConfig::default(), parts, ShardMap::RANGE_SHIFT)
         .map_err(|e| format!("recovery failed: {e}"))?;
     for k in 0..db.shard_count() {
         if let Some(report) = db.shard_recovery(k) {
@@ -213,15 +190,6 @@ fn die(reason: &str) -> ! {
     std::process::exit(1);
 }
 
-fn print_drained(stats: &rh_obs::RegistrySnapshot) {
-    println!(
-        "rh-serve: drained. commits={} sessions={} fsyncs={}",
-        stats.counter("server.commits"),
-        stats.counter("server.sessions.opened"),
-        stats.counter("log.fsyncs"),
-    );
-}
-
 /// The `/replication` route, mounted on every configuration's
 /// introspection endpoint: the registry the server's ship loops (on a
 /// primary) or the subscriber runner (on a replica) report into.
@@ -233,54 +201,34 @@ fn repl_route(repl: &Arc<ReplRegistry>) -> rh_obs::Handler {
     })
 }
 
-fn run_single(args: &Args) {
-    let mut db = match open_engine(args) {
-        Ok(db) => db,
-        Err(reason) => die(&reason),
-    };
-    let repl = Arc::new(ReplRegistry::new());
+/// Serves `db` as the writable primary until a wire `Shutdown` op,
+/// then drains. `role` names the bind in the ready line ("listening",
+/// or "promoted to primary" after a failover).
+fn serve_primary(args: &Args, db: ShardedDb, repl: Arc<ReplRegistry>, role: &str) {
     if let Some(iaddr) = &args.introspect {
         match db.serve_introspection_with(iaddr, &["/replication"], Some(repl_route(&repl))) {
             Ok(bound) => println!("rh-serve: introspection on http://{bound}"),
             Err(e) => die(&format!("cannot bind introspection {iaddr}: {e}")),
         }
     }
+    let shards = shard_count(db.shard_count());
     let server = match Server::bind_with_repl(&args.addr, db, args.cfg.clone(), repl) {
         Ok(s) => s,
         Err(e) => die(&format!("cannot bind {}: {e}", args.addr)),
     };
-    println!("rh-serve: listening on {}", server.local_addr());
+    println!("rh-serve: {role} on {} ({shards})", server.local_addr());
     server.run_until_shutdown();
     println!("rh-serve: shutdown requested, draining");
-    match server.shutdown() {
-        Ok(db) => print_drained(&db.stats()),
+    let stats = match server.shutdown() {
+        Ok(db) => db.stats(),
         Err(e) => die(&format!("drain failed: {e}")),
-    }
-}
-
-fn run_sharded(args: &Args) {
-    let db = match open_sharded(args) {
-        Ok(db) => db,
-        Err(reason) => die(&reason),
     };
-    let repl = Arc::new(ReplRegistry::new());
-    if let Some(iaddr) = &args.introspect {
-        match db.serve_introspection_with(iaddr, &["/replication"], Some(repl_route(&repl))) {
-            Ok(bound) => println!("rh-serve: introspection on http://{bound}"),
-            Err(e) => die(&format!("cannot bind introspection {iaddr}: {e}")),
-        }
-    }
-    let server = match Server::bind_sharded_with_repl(&args.addr, db, args.cfg.clone(), repl) {
-        Ok(s) => s,
-        Err(e) => die(&format!("cannot bind {}: {e}", args.addr)),
-    };
-    println!("rh-serve: listening on {} ({} shards)", server.local_addr(), args.shards);
-    server.run_until_shutdown();
-    println!("rh-serve: shutdown requested, draining");
-    match server.shutdown_sharded() {
-        Ok(db) => print_drained(&db.stats()),
-        Err(e) => die(&format!("drain failed: {e}")),
-    }
+    println!(
+        "rh-serve: drained. commits={} sessions={} fsyncs={}",
+        stats.counter("server.commits"),
+        stats.counter("server.sessions.opened"),
+        stats.counter("log.fsyncs"),
+    );
 }
 
 // ---- replica mode ------------------------------------------------------
@@ -294,86 +242,15 @@ const PROMOTE_AFTER_FAILURES: u32 = 10;
 /// a wire `Shutdown` op and the runner's source-lost flag.
 const FAILOVER_POLL: Duration = Duration::from_millis(200);
 
-/// One shard's stable state: its WAL mirror and its disk.
-type ReplicaPart = (Arc<StableLog>, Arc<Disk>);
-
-/// Opens the replica's local per-shard stable state under `--dir` —
-/// the same layout the primary uses (`--dir` itself for one shard,
-/// `--dir/shard-K` otherwise), so a promoted replica's directory is
-/// indistinguishable from a primary's.
-fn open_replica_parts(args: &Args) -> Result<Vec<ReplicaPart>, String> {
-    let mut parts = Vec::with_capacity(args.shards);
-    for k in 0..args.shards {
-        let dir =
-            if args.shards == 1 { args.dir.clone() } else { format!("{}/shard-{k}", args.dir) };
-        let stable = StableLog::open_dir(&dir).map_err(|e| format!("open {dir}: {e}"))?;
-        if !stable.master().is_null() {
-            return Err(refuse_drained(&dir, stable.master()));
-        }
-        parts.push((stable, Disk::new()));
-    }
-    Ok(parts)
-}
-
-/// Serves the promoted engine on the replica's own addresses: the
-/// moment `bind` succeeds, this node *is* the primary — writable, and
-/// itself shipping to any replica that subscribes.
-fn run_promoted(args: &Args, db: PromotedDb, repl: Arc<ReplRegistry>) {
-    match db {
-        PromotedDb::Single(db) => {
-            let mut db = *db;
-            if let Some(iaddr) = &args.introspect {
-                match db.serve_introspection_with(iaddr, &["/replication"], Some(repl_route(&repl)))
-                {
-                    Ok(bound) => println!("rh-serve: introspection on http://{bound}"),
-                    Err(e) => die(&format!("cannot bind introspection {iaddr}: {e}")),
-                }
-            }
-            let server = match Server::bind_with_repl(&args.addr, db, args.cfg.clone(), repl) {
-                Ok(s) => s,
-                Err(e) => die(&format!("cannot bind {}: {e}", args.addr)),
-            };
-            println!("rh-serve: promoted to primary on {}", server.local_addr());
-            server.run_until_shutdown();
-            println!("rh-serve: shutdown requested, draining");
-            match server.shutdown() {
-                Ok(db) => print_drained(&db.stats()),
-                Err(e) => die(&format!("drain failed: {e}")),
-            }
-        }
-        PromotedDb::Sharded(db) => {
-            let db = *db;
-            if let Some(iaddr) = &args.introspect {
-                match db.serve_introspection_with(iaddr, &["/replication"], Some(repl_route(&repl)))
-                {
-                    Ok(bound) => println!("rh-serve: introspection on http://{bound}"),
-                    Err(e) => die(&format!("cannot bind introspection {iaddr}: {e}")),
-                }
-            }
-            let server =
-                match Server::bind_sharded_with_repl(&args.addr, db, args.cfg.clone(), repl) {
-                    Ok(s) => s,
-                    Err(e) => die(&format!("cannot bind {}: {e}", args.addr)),
-                };
-            println!("rh-serve: promoted to primary on {}", server.local_addr());
-            server.run_until_shutdown();
-            println!("rh-serve: shutdown requested, draining");
-            match server.shutdown_sharded() {
-                Ok(db) => print_drained(&db.stats()),
-                Err(e) => die(&format!("drain failed: {e}")),
-            }
-        }
-    }
-}
-
 fn run_replica(args: &Args, source: &str) {
-    let parts = match open_replica_parts(args) {
-        Ok(p) => p,
+    let stables = match open_stables(args) {
+        Ok(s) => s,
         Err(reason) => die(&reason),
     };
-    let resumed: u64 = parts.iter().map(|(s, _)| s.len() as u64).sum();
+    let resumed: u64 = stables.iter().map(|s| s.len() as u64).sum();
+    let parts = stables.into_iter().map(|s| (s, Disk::new())).collect();
     let set =
-        match ReplicaSet::open(args.strategy, DbConfig::default(), parts, ShardMap::RANGE_SHIFT) {
+        match ReplicaSet::open(Strategy::Rh, DbConfig::default(), parts, ShardMap::RANGE_SHIFT) {
             Ok(set) => Arc::new(set),
             Err(e) => die(&format!("replica open failed: {e}")),
         };
@@ -448,16 +325,17 @@ fn run_replica(args: &Args, source: &str) {
     if let Err(e) = server.shutdown_replica() {
         die(&format!("replica drain failed: {e}"));
     }
-    run_promoted(args, promoted, repl);
+    serve_primary(args, promoted, repl, "promoted to primary");
 }
 
 fn main() {
     let args = parse_args();
     if let Some(source) = args.replica_of.clone() {
         run_replica(&args, &source);
-    } else if args.shards > 1 {
-        run_sharded(&args);
-    } else {
-        run_single(&args);
+        return;
+    }
+    match open_primary(&args) {
+        Ok(db) => serve_primary(&args, db, Arc::new(ReplRegistry::new()), "listening"),
+        Err(reason) => die(&reason),
     }
 }

@@ -16,11 +16,11 @@
 //! socket's only writer; one extra thread then reads the subscriber's
 //! acks for it.
 //!
-//! Commits are two-phase against the engine mutex: prepare (append
-//! commit record, release locks) happens under it, the durable force
-//! happens outside it so concurrent sessions share one group-commit
-//! fsync. See [`rh_core::engine::RhDb::commit_prepare`] for the safety
-//! argument.
+//! Commits are two-phase against the owning shard's engine mutex:
+//! prepare (append commit record, release locks) happens under it, the
+//! durable force happens outside it so concurrent sessions share one
+//! group-commit fsync. See [`rh_core::engine::RhDb::commit_prepare`] for
+//! the safety argument.
 
 use crate::server::Shared;
 use crate::wire::{self, errcode, Hello, Op, ReplMsg, Reply, ReplyBody, Request, Response};
@@ -273,7 +273,7 @@ fn op_name(op: &Op) -> &'static str {
 
 /// Feeds one measured phase into its per-phase latency histogram. The
 /// tracer points were already emitted where the phase ran (see
-/// `Backend::commit`); the histograms all land here, on the *serving*
+/// `ShardedDb::commit_traced`); the histograms all land here, on the *serving*
 /// obs, so `/stats` and `/metrics` aggregate them in one place without
 /// double-counting against shard registries.
 fn observe_phase(obs: &rh_obs::Obs, name: &'static str, us: u64) {
@@ -311,7 +311,7 @@ pub(crate) fn close_session(shared: &Arc<Shared>, sid: u64) {
     };
     let Some(leftovers) = leftovers else { return };
     for t in &leftovers {
-        if shared.backend.abort(*t).is_ok() {
+        if shared.backend.primary().and_then(|db| db.abort(*t)).is_ok() {
             shared.obs.registry.inc(names::M_SRV_TXNS_ABORTED_ON_CLOSE);
         }
     }
@@ -321,18 +321,20 @@ pub(crate) fn close_session(shared: &Arc<Shared>, sid: u64) {
 
 /// Executes one operation against the shared backend, producing the
 /// reply plus the op's measured commit phases (empty for everything but
-/// `Commit`). Engine guards (single backend) live inside the `Backend`
-/// methods and are scoped as tightly as possible: nothing here holds an
-/// engine mutex across a socket write, and commit forces happen outside
-/// the mutex on both backends.
+/// `Commit`). Engine guards live inside the router's methods and are
+/// scoped as tightly as possible: nothing here holds an engine mutex
+/// across a socket write, and commit forces happen outside the mutex.
 fn execute(
     shared: &Arc<Shared>,
     sid: u64,
     op: Op,
     trace: u64,
 ) -> (Reply, Vec<(&'static str, u64)>) {
+    // Transactional ops need the writable database; a replica refuses
+    // them.
+    let db = shared.backend.primary();
     let reply = match op {
-        Op::Begin => match shared.backend.begin() {
+        Op::Begin => match db.and_then(|db| db.begin()) {
             Ok(t) => {
                 {
                     let mut table = shared.sessions.lock();
@@ -342,14 +344,14 @@ fn execute(
             }
             Err(e) => wire::error_reply(&e),
         },
-        Op::Read(t, ob) => value_reply(shared.backend.read(t, ob)),
-        Op::Write(t, ob, v) => unit_reply(shared.backend.write(t, ob, v)),
-        Op::Add(t, ob, d) => unit_reply(shared.backend.add(t, ob, d)),
-        Op::Delegate(tor, tee, obs) => unit_reply(shared.backend.delegate(tor, tee, &obs)),
-        Op::DelegateAll(tor, tee) => unit_reply(shared.backend.delegate_all(tor, tee)),
-        Op::Permit(g, p, ob) => unit_reply(shared.backend.permit(g, p, ob)),
+        Op::Read(t, ob) => value_reply(db.and_then(|db| db.read(t, ob))),
+        Op::Write(t, ob, v) => unit_reply(db.and_then(|db| db.write(t, ob, v))),
+        Op::Add(t, ob, d) => unit_reply(db.and_then(|db| db.add(t, ob, d))),
+        Op::Delegate(tor, tee, obs) => unit_reply(db.and_then(|db| db.delegate(tor, tee, &obs))),
+        Op::DelegateAll(tor, tee) => unit_reply(db.and_then(|db| db.delegate_all(tor, tee))),
+        Op::Permit(g, p, ob) => unit_reply(db.and_then(|db| db.permit(g, p, ob))),
         Op::Commit(t) => return commit(shared, t, trace),
-        Op::Abort(t) => match shared.backend.abort(t) {
+        Op::Abort(t) => match db.and_then(|db| db.abort(t)) {
             Ok(()) => {
                 {
                     let mut table = shared.sessions.lock();
@@ -359,11 +361,11 @@ fn execute(
             }
             Err(e) => wire::error_reply(&e),
         },
-        Op::Savepoint(t) => match shared.backend.savepoint(t) {
+        Op::Savepoint(t) => match db.and_then(|db| db.savepoint(t)) {
             Ok(token) => Reply::Ok(ReplyBody::Token(token)),
             Err(e) => wire::error_reply(&e),
         },
-        Op::RollbackTo(t, token) => unit_reply(shared.backend.rollback_to(t, token)),
+        Op::RollbackTo(t, token) => unit_reply(db.and_then(|db| db.rollback_to(t, token))),
         Op::ValueOf(ob) => value_reply(shared.backend.value_of(ob)),
         // The staleness-bounded read: a primary answers immediately, a
         // replica blocks (up to the configured deadline) for its forward
@@ -386,12 +388,12 @@ fn execute(
         // Time-travel ops replay the WAL without any engine mutex (see
         // `Backend::read_as_of`), so a deep-history reenactment never
         // stalls concurrent writers.
-        Op::ReadAsOf(ob, as_of) => value_reply(shared.backend.read_as_of(ob, as_of, &shared.obs)),
-        Op::History(ob, from, to) => match shared.backend.history_json(ob, from, to, &shared.obs) {
+        Op::ReadAsOf(ob, as_of) => value_reply(shared.backend.read_as_of(ob, as_of)),
+        Op::History(ob, from, to) => match shared.backend.history_json(ob, from, to) {
             Ok(json) => Reply::Ok(ReplyBody::Json(json)),
             Err(e) => wire::error_reply(&e),
         },
-        Op::Stats => Reply::Ok(ReplyBody::Json(shared.backend.stats_json(&shared.obs))),
+        Op::Stats => Reply::Ok(ReplyBody::Json(shared.backend.stats_json())),
         Op::Ping | Op::Shutdown => Reply::Ok(ReplyBody::Unit),
     };
     (reply, Vec::new())
@@ -517,12 +519,12 @@ fn value_reply(read: Result<Value>) -> Reply {
     }
 }
 
-/// The durable commit path: acknowledge only after the backend's force
-/// (group-committed per engine — see `Backend::commit`). Returns the
-/// phase breakdown the backend measured, for histograms + the slow-op
-/// log.
+/// The durable commit path: acknowledge only after the router's force
+/// (group-committed per shard — see `ShardedDb::commit_traced`).
+/// Returns the phase breakdown the router measured, for histograms +
+/// the slow-op log.
 fn commit(shared: &Arc<Shared>, t: TxnId, trace: u64) -> (Reply, Vec<(&'static str, u64)>) {
-    let phases = match shared.backend.commit(t, trace, &shared.obs) {
+    let phases = match shared.backend.primary().and_then(|db| db.commit_traced(t, trace)) {
         Ok(phases) => phases,
         Err(e) => return (wire::error_reply(&e), Vec::new()),
     };

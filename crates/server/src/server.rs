@@ -1,38 +1,32 @@
 //! The serving core: shared state, admission control, session table,
 //! and the drain / force-stop lifecycle.
 //!
-//! One [`Server`] owns one [`Backend`] — either a single engine
-//! ([`rh_core::engine::RhDb`] wrapped in the [`rh_etm::EtmSession`]
-//! synchronization layer) behind a mutex, or a range-sharded
-//! [`rh_core::sharded::ShardedDb`] router — plus a
-//! [`rh_obs::TcpService`] accept loop and a table of live sessions.
-//! Each accepted connection gets one thread that reads, executes and
-//! replies (see [`crate::conn`]). It executes operations under the
-//! engine mutex (per shard, for the sharded backend) but forces commits
+//! One [`Server`] owns one [`Backend`] — a [`rh_core::sharded::ShardedDb`]
+//! router over N ≥ 1 shards (one shard is the default deployment), or a
+//! read replica — plus a [`rh_obs::TcpService`] accept loop and a table
+//! of live sessions. Each accepted connection gets one thread that
+//! reads, executes and replies (see [`crate::conn`]). Operations run
+//! under the owning shard's engine mutex, but commits are forced
 //! *outside* it, so concurrent sessions' commit records share the WAL's
 //! group-commit fsync (the point of the
 //! [`rh_core::engine::RhDb::commit_prepare`] split).
 //!
 //! Lock order in this crate (declared in the `rh-analyze` L2 manifest):
-//! `sessions` before `engine` before `subscribers`. In practice guards
-//! are scoped so tightly that nesting never happens — the order exists
-//! so the analyzer can prove it.
+//! `sessions` before `subscribers`. In practice guards are scoped so
+//! tightly that nesting never happens — the order exists so the
+//! analyzer can prove it. Engine mutexes live inside the router and
+//! are never taken while a server lock is held.
 
 use crate::conn;
 use crate::repl::ReplRegistry;
-use crate::wire;
 use parking_lot::{Condvar, Mutex};
 use rh_common::ops::Value;
 use rh_common::{Lsn, ObjectId, Result, RhError, TxnId};
-use rh_core::engine::RhDb;
 use rh_core::reenact::Purpose;
 use rh_core::replica::ReplicaSet;
 use rh_core::sharded::ShardedDb;
-use rh_etm::EtmSession;
-use rh_lock::LockManager;
 use rh_obs::{names, Obs, Stopwatch, TcpService};
-use rh_storage::Disk;
-use rh_wal::{LogManager, StableLog};
+use rh_wal::LogManager;
 use std::collections::{HashMap, HashSet};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -157,218 +151,35 @@ impl SessionTable {
     }
 }
 
-/// The engine behind the wire: either one [`RhDb`] under the ETM layer
-/// and a single mutex (the original configuration), or a range-sharded
-/// [`ShardedDb`] whose router synchronizes internally — per-shard engine
-/// mutexes instead of one global one, which is what lets independent
-/// shards commit concurrently.
+/// The engine behind the wire.
 pub(crate) enum Backend {
-    /// One engine, one mutex; commit forces happen on `log` *outside*
-    /// the mutex (group commit).
-    Single {
-        /// The engine, behind the ETM layer.
-        engine: Box<Mutex<EtmSession<RhDb>>>,
-        /// The engine's log manager (commit forcing + stats absorption
-        /// without the engine mutex).
-        log: Arc<LogManager>,
-        /// The engine's disk (stats absorption).
-        disk: Arc<Disk>,
-        /// The engine's lock manager (stats absorption).
-        locks: Arc<LockManager>,
-    },
-    /// N shards behind the router; all methods take `&self`.
-    Sharded(Arc<ShardedDb>),
+    /// The writable database: N ≥ 1 shards behind the router, which
+    /// synchronizes internally (per-shard engine mutexes), so every
+    /// method takes `&self` and sessions on different shards execute
+    /// concurrently.
+    Primary(Arc<ShardedDb>),
     /// A read replica in perpetual forward pass: serves reads,
     /// time-travel, and introspection; every mutating op is refused
-    /// with [`Backend::read_only`]. Promotion happens *outside* the
+    /// (see [`Backend::primary`]). Promotion happens *outside* the
     /// server (the set is `Arc`-shared with whoever drives failover).
     Replica(Arc<ReplicaSet>),
 }
 
 impl Backend {
-    /// The uniform refusal every mutating op gets on a replica.
-    fn read_only<T>() -> Result<T> {
-        Err(RhError::Protocol("replica is read-only: writes go to the primary"))
-    }
-
-    pub(crate) fn begin(&self) -> Result<TxnId> {
+    /// The writable database every transactional op runs against, or
+    /// the uniform refusal a replica gives it.
+    pub(crate) fn primary(&self) -> Result<&ShardedDb> {
         match self {
-            Backend::Single { engine, .. } => {
-                let mut eng = engine.lock();
-                eng.initiate_empty()
+            Backend::Primary(db) => Ok(db),
+            Backend::Replica(_) => {
+                Err(RhError::Protocol("replica is read-only: writes go to the primary"))
             }
-            Backend::Sharded(db) => db.begin(),
-            Backend::Replica(_) => Self::read_only(),
-        }
-    }
-
-    pub(crate) fn read(&self, t: TxnId, ob: ObjectId) -> Result<Value> {
-        match self {
-            Backend::Single { engine, .. } => {
-                let mut eng = engine.lock();
-                eng.read(t, ob)
-            }
-            Backend::Sharded(db) => db.read(t, ob),
-            Backend::Replica(_) => Self::read_only(),
-        }
-    }
-
-    pub(crate) fn write(&self, t: TxnId, ob: ObjectId, v: Value) -> Result<()> {
-        match self {
-            Backend::Single { engine, .. } => {
-                let mut eng = engine.lock();
-                eng.write(t, ob, v)
-            }
-            Backend::Sharded(db) => db.write(t, ob, v),
-            Backend::Replica(_) => Self::read_only(),
-        }
-    }
-
-    pub(crate) fn add(&self, t: TxnId, ob: ObjectId, d: Value) -> Result<()> {
-        match self {
-            Backend::Single { engine, .. } => {
-                let mut eng = engine.lock();
-                eng.add(t, ob, d)
-            }
-            Backend::Sharded(db) => db.add(t, ob, d),
-            Backend::Replica(_) => Self::read_only(),
-        }
-    }
-
-    pub(crate) fn delegate(&self, tor: TxnId, tee: TxnId, obs: &[ObjectId]) -> Result<()> {
-        match self {
-            Backend::Single { engine, .. } => {
-                let mut eng = engine.lock();
-                eng.delegate(tor, tee, obs)
-            }
-            Backend::Sharded(db) => db.delegate(tor, tee, obs),
-            Backend::Replica(_) => Self::read_only(),
-        }
-    }
-
-    pub(crate) fn delegate_all(&self, tor: TxnId, tee: TxnId) -> Result<()> {
-        match self {
-            Backend::Single { engine, .. } => {
-                let mut eng = engine.lock();
-                eng.delegate_all(tor, tee)
-            }
-            Backend::Sharded(db) => db.delegate_all(tor, tee),
-            Backend::Replica(_) => Self::read_only(),
-        }
-    }
-
-    pub(crate) fn permit(&self, g: TxnId, p: TxnId, ob: ObjectId) -> Result<()> {
-        match self {
-            Backend::Single { engine, .. } => {
-                let mut eng = engine.lock();
-                eng.permit(g, p, ob)
-            }
-            Backend::Sharded(db) => db.permit(g, p, ob),
-            Backend::Replica(_) => Self::read_only(),
-        }
-    }
-
-    /// The durable commit. Single: prepare under the engine mutex, force
-    /// the log outside it so concurrent sessions share one group-commit
-    /// fsync. Sharded: the router picks the single-shard fast path (same
-    /// prepare/force split, per shard) or the cross-shard 2PC protocol.
-    ///
-    /// Returns the commit's measured phases `(name, micros)`, already
-    /// emitted as `phase.*` trace points attributed to `(t, trace)` on
-    /// the obs context where each phase ran (this engine's for the
-    /// single backend; the owning shard's for 2PC edges). The phases are
-    /// disjoint by construction — `phase.engine_hold` *excludes* the
-    /// `commit_prepare` body it brackets — so their sum approximates the
-    /// server-side commit latency.
-    pub(crate) fn commit(
-        &self,
-        t: TxnId,
-        trace: u64,
-        obs: &Obs,
-    ) -> Result<Vec<(&'static str, u64)>> {
-        match self {
-            Backend::Single { engine, log, .. } => {
-                let held = Stopwatch::start();
-                let mut prepare_us = 0u64;
-                let lsn = {
-                    let mut eng = engine.lock();
-                    eng.commit_with(t, |db, t| {
-                        let sw = Stopwatch::start();
-                        // The commit-record force under the engine mutex is the
-                        // single-node durability point (group commit happens
-                        // below, in flush_to). rh-analyze: allow(L6)
-                        let lsn = db.commit_prepare(t);
-                        prepare_us = sw.elapsed_micros();
-                        lsn
-                    })?
-                };
-                let engine_us = held.elapsed_micros().saturating_sub(prepare_us);
-                parking_lot::witness::note_hold(
-                    names::LS_SERVER_ENGINE,
-                    names::LW_SUB_COMMIT_PREPARE,
-                    prepare_us,
-                );
-                let forced = Stopwatch::start();
-                log.flush_to(lsn)?;
-                let flush_us = forced.elapsed_micros();
-                let phases = vec![
-                    (names::PH_ENGINE_HOLD, engine_us),
-                    (names::PH_COMMIT_PREPARE, prepare_us),
-                    (names::PH_FLUSH_WAIT, flush_us),
-                ];
-                for &(name, us) in &phases {
-                    obs.tracer.phase(name, t.0, trace, us);
-                }
-                Ok(phases)
-            }
-            Backend::Sharded(db) => db.commit_traced(t, trace),
-            Backend::Replica(_) => Self::read_only(),
-        }
-    }
-
-    pub(crate) fn abort(&self, t: TxnId) -> Result<()> {
-        match self {
-            Backend::Single { engine, .. } => {
-                let mut eng = engine.lock();
-                eng.abort(t)
-            }
-            Backend::Sharded(db) => db.abort(t),
-            Backend::Replica(_) => Self::read_only(),
-        }
-    }
-
-    pub(crate) fn savepoint(&self, t: TxnId) -> Result<u64> {
-        match self {
-            Backend::Single { engine, .. } => {
-                let lsn = {
-                    let mut eng = engine.lock();
-                    eng.engine().savepoint(t)?
-                };
-                Ok(wire::token_of(lsn))
-            }
-            Backend::Sharded(db) => db.savepoint(t),
-            Backend::Replica(_) => Self::read_only(),
-        }
-    }
-
-    pub(crate) fn rollback_to(&self, t: TxnId, token: u64) -> Result<()> {
-        match self {
-            Backend::Single { engine, .. } => {
-                let mut eng = engine.lock();
-                eng.engine().rollback_to(t, wire::lsn_of(token))
-            }
-            Backend::Sharded(db) => db.rollback_to(t, token),
-            Backend::Replica(_) => Self::read_only(),
         }
     }
 
     pub(crate) fn value_of(&self, ob: ObjectId) -> Result<Value> {
         match self {
-            Backend::Single { engine, .. } => {
-                let mut eng = engine.lock();
-                eng.value_of(ob)
-            }
-            Backend::Sharded(db) => db.value_of(ob),
+            Backend::Primary(db) => db.value_of(ob),
             Backend::Replica(set) => set.value_of(ob),
         }
     }
@@ -385,7 +196,7 @@ impl Backend {
         deadline: Duration,
     ) -> Result<Value> {
         match self {
-            Backend::Single { .. } | Backend::Sharded(_) => self.value_of(ob),
+            Backend::Primary(db) => db.value_of(ob),
             Backend::Replica(set) => set.value_of_min(ob, min_lsn, deadline),
         }
     }
@@ -397,11 +208,10 @@ impl Backend {
     /// watermark (what a bounded read against *this* node can rely on).
     pub(crate) fn durable_watermark(&self, ob: ObjectId) -> Result<u64> {
         match self {
-            Backend::Single { log, .. } => Ok(log.durable_len()),
-            Backend::Sharded(db) => {
-                let shard = db.shard_of(ob);
-                let log =
-                    db.shard_log(shard).ok_or(RhError::Protocol("shard index out of range"))?;
+            Backend::Primary(db) => {
+                let log = db
+                    .shard_log(db.shard_of(ob))
+                    .ok_or(RhError::Protocol("shard index out of range"))?;
                 Ok(log.durable_len())
             }
             Backend::Replica(set) => Ok(set.applied_lsn(set.shard_of(ob))?.0),
@@ -412,14 +222,7 @@ impl Backend {
     /// ship; chaining replicas off replicas is refused.
     pub(crate) fn ship_log(&self, shard: u32) -> Result<Arc<LogManager>> {
         match self {
-            Backend::Single { log, .. } => {
-                if shard == 0 {
-                    Ok(Arc::clone(log))
-                } else {
-                    Err(RhError::Protocol("shard index out of range"))
-                }
-            }
-            Backend::Sharded(db) => db
+            Backend::Primary(db) => db
                 .shard_log(shard as usize)
                 .cloned()
                 .ok_or(RhError::Protocol("shard index out of range")),
@@ -430,18 +233,12 @@ impl Backend {
     }
 
     /// Time-travel read (wire `ReadAsOf`): reenact the object's history
-    /// at `as_of` from the WAL alone. Neither arm takes an engine mutex
-    /// — the single backend replays through the `log` Arc captured at
-    /// bind time, the sharded router replays the owning shard's log and
-    /// stitches coordinator decisions from every shard's log — so a
+    /// at `as_of` from the owning shard's WAL, stitching coordinator
+    /// decisions from every shard's log. No engine mutex is taken, so a
     /// long deep-history replay never stalls the write path.
-    pub(crate) fn read_as_of(&self, ob: ObjectId, as_of: Lsn, obs: &Arc<Obs>) -> Result<Value> {
+    pub(crate) fn read_as_of(&self, ob: ObjectId, as_of: Lsn) -> Result<Value> {
         match self {
-            Backend::Single { log, .. } => {
-                let r = rh_core::reenact::query(log, obs, ob, as_of, Purpose::Value)?;
-                Ok(r.value())
-            }
-            Backend::Sharded(db) => db.read_as_of(ob, as_of),
+            Backend::Primary(db) => db.read_as_of(ob, as_of),
             Backend::Replica(set) => set.read_as_of(ob, as_of),
         }
     }
@@ -449,39 +246,17 @@ impl Backend {
     /// Version timeline (wire `History`) rendered as a `history.v1`
     /// JSON document. Same no-engine-mutex property as
     /// [`Backend::read_as_of`].
-    pub(crate) fn history_json(
-        &self,
-        ob: ObjectId,
-        from: Lsn,
-        to: Lsn,
-        obs: &Arc<Obs>,
-    ) -> Result<String> {
-        match self {
-            Backend::Single { log, .. } => {
-                let r = rh_core::reenact::query(log, obs, ob, to, Purpose::History)?;
-                Ok(r.to_json_range(from, r.as_of, |_| false).render_pretty())
-            }
-            Backend::Sharded(db) => {
-                let (r, decided) = db.reenact(ob, to, Purpose::History)?;
-                Ok(r.to_json_range(from, r.as_of, |t| decided.contains(&t)).render_pretty())
-            }
-            Backend::Replica(set) => {
-                let (r, decided) = set.reenact(ob, to, Purpose::History)?;
-                Ok(r.to_json_range(from, r.as_of, |t| decided.contains(&t)).render_pretty())
-            }
-        }
+    pub(crate) fn history_json(&self, ob: ObjectId, from: Lsn, to: Lsn) -> Result<String> {
+        let (r, decided) = match self {
+            Backend::Primary(db) => db.reenact(ob, to, Purpose::History)?,
+            Backend::Replica(set) => set.reenact(ob, to, Purpose::History)?,
+        };
+        Ok(r.to_json_range(from, r.as_of, |t| decided.contains(&t)).render_pretty())
     }
 
     pub(crate) fn checkpoint(&self) -> Result<()> {
         match self {
-            Backend::Single { engine, .. } => {
-                let mut eng = engine.lock();
-                // The checkpoint's master-record force runs under the engine
-                // mutex: a quiesced engine is what makes the snapshot
-                // consistent. rh-analyze: allow(L6)
-                eng.engine().checkpoint()
-            }
-            Backend::Sharded(db) => db.checkpoint_all(),
+            Backend::Primary(db) => db.checkpoint_all(),
             // A replica cannot checkpoint (it does not own the
             // database); drain just forces its local logs, best-effort
             // — a promoted-away set has nothing left to flush.
@@ -492,18 +267,11 @@ impl Backend {
         }
     }
 
-    /// One-stop stats, rendered. No engine mutex on either arm: the
-    /// single backend absorbs through Arcs captured at bind time, the
-    /// sharded router merge-sums per-shard registries.
-    pub(crate) fn stats_json(&self, obs: &Arc<Obs>) -> String {
+    /// One-stop stats, rendered. No engine mutex: the registries are
+    /// merge-summed across shards.
+    pub(crate) fn stats_json(&self) -> String {
         match self {
-            Backend::Single { log, disk, locks, .. } => {
-                log.metrics().snapshot().export_into(&obs.registry);
-                disk.metrics().snapshot().export_into(&obs.registry);
-                locks.stats().snapshot().export_into(&obs.registry);
-                obs.registry.snapshot().to_json().render_pretty()
-            }
-            Backend::Sharded(db) => db.stats().to_json().render_pretty(),
+            Backend::Primary(db) => db.stats().to_json().render_pretty(),
             Backend::Replica(set) => set.stats().to_json().render_pretty(),
         }
     }
@@ -511,11 +279,11 @@ impl Backend {
 
 /// State shared by the accept loop and every per-connection thread.
 pub(crate) struct Shared {
-    /// The engine backend (single or sharded). See the lock-order
+    /// The engine backend (primary or replica). See the lock-order
     /// note in the module docs.
     pub(crate) backend: Backend,
     /// The backend's observability hub; `server.*` counters land here,
-    /// which is what makes them visible to `RhDb::stats()` and the
+    /// which is what makes them visible to `ShardedDb::stats()` and the
     /// `/stats` introspection route.
     pub(crate) obs: Arc<Obs>,
     /// The replication subscriber registry: the ship loops report
@@ -577,9 +345,10 @@ impl Shared {
 ///
 /// ```no_run
 /// use rh_core::engine::{RhDb, Strategy};
+/// use rh_core::sharded::ShardedDb;
 /// use rh_server::{Server, ServerConfig};
 ///
-/// let db = RhDb::new(Strategy::Rh);
+/// let db = ShardedDb::from(RhDb::new(Strategy::Rh));
 /// let server = Server::bind("127.0.0.1:0", db, ServerConfig::default()).unwrap();
 /// println!("serving on {}", server.local_addr());
 /// server.run_until_shutdown();          // returns after a wire Shutdown op
@@ -591,62 +360,37 @@ pub struct Server {
 }
 
 impl Server {
-    /// Binds `addr` (e.g. `"127.0.0.1:0"`) and starts serving `db`.
+    /// Binds `addr` (e.g. `"127.0.0.1:0"`) and starts serving `db`, one
+    /// shard or many: requests route by object id, single-shard
+    /// transactions take the group-committed fast path, cross-shard ones
+    /// commit through 2PC. The server owns the database until
+    /// [`Server::shutdown`] returns it (or [`Server::force_stop`]
+    /// simulates a kill-9).
     ///
-    /// The engine is wrapped in an [`EtmSession`] and owned by the
-    /// server until [`Server::shutdown`] returns it. If the engine has
-    /// a flight recorder, a "server-start" black box is frozen so a
-    /// post-crash incarnation's postmortem covers the serving period.
-    pub fn bind(addr: &str, db: RhDb, cfg: ServerConfig) -> std::io::Result<Server> {
+    /// A fresh database freezes a "server-start" black box in every
+    /// shard with a flight recorder, so a post-crash incarnation's
+    /// postmortem covers the serving period; one that came out of
+    /// recovery or promotion already froze its own.
+    pub fn bind(addr: &str, db: ShardedDb, cfg: ServerConfig) -> std::io::Result<Server> {
         Self::bind_with_repl(addr, db, cfg, Arc::new(ReplRegistry::new()))
     }
 
     /// [`Server::bind`] with a caller-supplied replication registry, so
     /// the `/replication` introspection route (wired up before the
-    /// engine moves into the server) and the ship loops share one view.
+    /// database moves into the server) and the ship loops share one
+    /// view.
     pub fn bind_with_repl(
-        addr: &str,
-        db: RhDb,
-        cfg: ServerConfig,
-        repl: Arc<ReplRegistry>,
-    ) -> std::io::Result<Server> {
-        let log = Arc::clone(db.log());
-        let disk = Arc::clone(db.disk());
-        let locks = Arc::clone(db.locks());
-        let obs = Arc::clone(db.obs());
-        let recovered = db.last_recovery().is_some();
-        db.record_blackbox("server-start");
-        let backend = Backend::Single {
-            engine: Box::new(Mutex::named(EtmSession::new(db), names::LS_SERVER_ENGINE)),
-            log,
-            disk,
-            locks,
-        };
-        Self::bind_backend(addr, backend, obs, recovered, cfg, repl)
-    }
-
-    /// Binds `addr` and serves a range-sharded engine: requests are
-    /// routed by object id at the wire layer, single-shard transactions
-    /// take the per-shard fast path, cross-shard ones commit through
-    /// 2PC. The router's internal synchronization replaces the single
-    /// engine mutex, so sessions on different shards execute
-    /// concurrently. Tear down with [`Server::shutdown_sharded`] (or
-    /// [`Server::force_stop`] for a simulated kill-9).
-    pub fn bind_sharded(addr: &str, db: ShardedDb, cfg: ServerConfig) -> std::io::Result<Server> {
-        Self::bind_sharded_with_repl(addr, db, cfg, Arc::new(ReplRegistry::new()))
-    }
-
-    /// [`Server::bind_sharded`] with a caller-supplied replication
-    /// registry (see [`Server::bind_with_repl`]).
-    pub fn bind_sharded_with_repl(
         addr: &str,
         db: ShardedDb,
         cfg: ServerConfig,
         repl: Arc<ReplRegistry>,
     ) -> std::io::Result<Server> {
+        let recovered = (0..db.shard_count()).any(|k| db.shard_recovery(k).is_some());
+        if !recovered {
+            db.record_blackbox_all("server-start");
+        }
         let obs = Arc::clone(db.obs());
-        let recovered = db.stats().counter(names::M_RECOVERY_RUNS) > 0;
-        Self::bind_backend(addr, Backend::Sharded(Arc::new(db)), obs, recovered, cfg, repl)
+        Self::bind_backend(addr, Backend::Primary(Arc::new(db)), obs, recovered, cfg, repl)
     }
 
     /// Binds `addr` and serves a read replica: reads, staleness-bounded
@@ -702,40 +446,10 @@ impl Server {
         self.service.local_addr()
     }
 
-    /// The stable half of the engine's log (crash tests keep this to
-    /// recover a post-`force_stop` incarnation). For a sharded server
-    /// this is shard 0's stable log; crash tests over sharded servers
-    /// should keep per-shard handles from the [`ShardedDb`] instead.
-    pub fn stable(&self) -> Arc<StableLog> {
-        match &self.shared.backend {
-            Backend::Single { log, .. } => log.stable(),
-            Backend::Sharded(db) => db.primary_log().stable(),
-            Backend::Replica(set) => {
-                // Test-support accessor; a consumed (promoted) set is a
-                // harness bug, not a durability path.
-                set.shard_stable(0).expect("replica set not yet promoted") // rh-analyze: allow(L1)
-            }
-        }
-    }
-
     /// The replication subscriber registry this server's ship loops
     /// report into (render it behind a `/replication` route).
     pub fn repl_registry(&self) -> Arc<ReplRegistry> {
         Arc::clone(&self.shared.repl)
-    }
-
-    /// The engine's disk handle (crash tests pair it with
-    /// [`Server::stable`] for [`RhDb::recover`]). Shard 0's disk for a
-    /// sharded server.
-    pub fn disk(&self) -> Arc<Disk> {
-        match &self.shared.backend {
-            Backend::Single { disk, .. } => Arc::clone(disk),
-            Backend::Sharded(db) => Arc::clone(db.primary_disk()),
-            Backend::Replica(set) => {
-                // Test-support accessor, as in `stable` above.
-                set.shard_disk(0).expect("replica set not yet promoted") // rh-analyze: allow(L1)
-            }
-        }
     }
 
     /// Blocks until a client sends the wire `Shutdown` op.
@@ -759,33 +473,22 @@ impl Server {
     }
 
     /// Graceful drain: stop accepting, close every session (their open
-    /// transactions abort), checkpoint, and hand the engine back.
+    /// transactions abort in every shard they touched), checkpoint
+    /// every shard, and hand the database back.
     ///
-    /// The checkpoint moves the master record, so the next incarnation
+    /// The checkpoint moves the master records, so the next incarnation
     /// of this database must be opened from a surviving disk image —
     /// the normal path for a *graceful* stop. (Crash restarts instead
-    /// rely on the master staying NULL while serving: the server never
+    /// rely on the masters staying NULL while serving: the server never
     /// checkpoints mid-flight.)
-    pub fn shutdown(self) -> Result<RhDb> {
+    pub fn shutdown(self) -> Result<ShardedDb> {
         match Self::drain(self)? {
-            Backend::Single { engine, .. } => {
-                let db = engine.into_inner().into_engine();
-                db.record_blackbox("server-drain");
-                Ok(db)
+            Backend::Primary(db) => {
+                Arc::try_unwrap(db).map_err(|_| RhError::Protocol("database still shared at drain"))
             }
-            _ => Err(RhError::Protocol("not a single-engine server: drain with its own shutdown")),
-        }
-    }
-
-    /// Graceful drain of a sharded server: stop accepting, close every
-    /// session (their open transactions abort in every shard they
-    /// touched), checkpoint every shard, and hand the sharded engine
-    /// back.
-    pub fn shutdown_sharded(self) -> Result<ShardedDb> {
-        match Self::drain(self)? {
-            Backend::Sharded(db) => Arc::try_unwrap(db)
-                .map_err(|_| RhError::Protocol("sharded engine still shared at drain")),
-            _ => Err(RhError::Protocol("not a sharded server: drain with its own shutdown")),
+            Backend::Replica(_) => {
+                Err(RhError::Protocol("a replica server drains with shutdown_replica"))
+            }
         }
     }
 
@@ -797,7 +500,7 @@ impl Server {
     pub fn shutdown_replica(self) -> Result<Arc<ReplicaSet>> {
         match Self::drain(self)? {
             Backend::Replica(set) => Ok(set),
-            _ => Err(RhError::Protocol("not a replica server: drain with its own shutdown")),
+            Backend::Primary(_) => Err(RhError::Protocol("a primary server drains with shutdown")),
         }
     }
 
@@ -819,7 +522,7 @@ impl Server {
         for t in &leftovers {
             // Already-terminated ids are fine: abort is best-effort
             // here, the session threads normally beat us to it.
-            let _ = shared.backend.abort(*t);
+            let _ = shared.backend.primary().and_then(|db| db.abort(*t));
             shared.obs.registry.inc(names::M_SRV_TXNS_ABORTED_ON_CLOSE);
         }
         shared.backend.checkpoint()?;
@@ -832,10 +535,10 @@ impl Server {
     }
 
     /// Simulated kill-9: stop everything *without* aborting open
-    /// transactions, flushing the log tail, or checkpointing. Volatile
-    /// state evaporates exactly as in [`RhDb::crash`]; pair the handles
-    /// from [`Server::stable`] / [`Server::disk`] with
-    /// [`RhDb::recover`] to bring up the next incarnation.
+    /// transactions, flushing the log tails, or checkpointing. Volatile
+    /// state evaporates exactly as in [`ShardedDb::crash`]; recover the
+    /// next incarnation from the stable logs (and disks) the caller
+    /// kept, as a restarted machine would.
     pub fn force_stop(self) {
         let Server { shared, mut service } = self;
         shared.killed.store(true, Ordering::SeqCst);

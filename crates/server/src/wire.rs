@@ -164,7 +164,7 @@ pub enum Op {
     /// until the subscriber disconnects. The connection stops being a
     /// request/response channel except for [`Op::ReplAck`].
     ReplSubscribe {
-        /// Which shard's log to ship (0 for an unsharded server).
+        /// Which shard's log to ship (0 for a one-shard server).
         shard: u32,
         /// First LSN wanted; must be ≥ the shard's retained horizon.
         from: Lsn,
@@ -378,8 +378,8 @@ pub enum ReplyBody {
     Txn(TxnId),
     /// An object value (from `Read` / `ValueOf`).
     Value(Value),
-    /// A savepoint token (from `Savepoint`) — the savepoint LSN's raw
-    /// value, opaque to clients.
+    /// A savepoint token (from `Savepoint`; the router's token, opaque
+    /// to clients) or a durable watermark (from `Durable`).
     Token(u64),
     /// A rendered JSON document (from `Stats`).
     Json(String),
@@ -664,16 +664,6 @@ pub fn error_code(e: &RhError) -> u8 {
 /// Builds the [`Reply::Err`] for an engine error.
 pub fn error_reply(e: &RhError) -> Reply {
     Reply::Err { code: error_code(e), message: e.to_string() }
-}
-
-/// Converts a savepoint LSN to its wire token.
-pub fn token_of(lsn: Lsn) -> u64 {
-    lsn.0
-}
-
-/// Converts a wire token back to the savepoint LSN.
-pub fn lsn_of(token: u64) -> Lsn {
-    Lsn(token)
 }
 
 #[cfg(test)]

@@ -14,7 +14,7 @@
 use rh_common::codec::Codec;
 use rh_common::{Lsn, ObjectId, TxnId};
 use rh_core::engine::{DbConfig, RhDb, Strategy};
-use rh_core::replica::{PromotedDb, ReplicaSet};
+use rh_core::replica::ReplicaSet;
 use rh_core::sharded::ShardedDb;
 use rh_server::wire::{self, errcode, Hello, Op, Reply, ReplyBody, Request, Response};
 use rh_server::{ReplRegistry, ReplicaRunner, RunnerConfig, Server, ServerConfig};
@@ -98,8 +98,12 @@ fn wait_until(secs: u64, mut probe: impl FnMut() -> bool) -> bool {
 
 #[test]
 fn replica_follows_and_enforces_the_staleness_contract() {
-    let primary = Server::bind("127.0.0.1:0", RhDb::new(Strategy::Rh), ServerConfig::default())
-        .expect("bind primary");
+    let primary = Server::bind(
+        "127.0.0.1:0",
+        ShardedDb::from(RhDb::new(Strategy::Rh)),
+        ServerConfig::default(),
+    )
+    .expect("bind primary");
     let set = Arc::new(ReplicaSet::new_mem(Strategy::Rh, 1, 0));
     let registry = Arc::new(ReplRegistry::new());
     let runner = ReplicaRunner::start(
@@ -171,7 +175,7 @@ fn bounced_primary_resumes_the_stream_without_reseeding() {
     let stable = StableLog::open_dir(&dir).expect("open dir");
     let primary = Server::bind(
         "127.0.0.1:0",
-        RhDb::with_stable_log(Strategy::Rh, DbConfig::default(), stable),
+        ShardedDb::from(RhDb::with_stable_log(Strategy::Rh, DbConfig::default(), stable)),
         ServerConfig::default(),
     )
     .expect("bind primary");
@@ -203,8 +207,8 @@ fn bounced_primary_resumes_the_stream_without_reseeding() {
     assert!(!stable.is_empty());
     let db = RhDb::recover(Strategy::Rh, DbConfig::default(), stable, Disk::new())
         .expect("primary recovery");
-    let primary =
-        Server::bind(&addr.to_string(), db, ServerConfig::default()).expect("rebind primary");
+    let primary = Server::bind(&addr.to_string(), ShardedDb::from(db), ServerConfig::default())
+        .expect("rebind primary");
 
     let mut p = connect(primary.local_addr());
     let t = ok_txn(call(&mut p, 1, Op::Begin));
@@ -236,7 +240,7 @@ const ODD: ObjectId = ObjectId(11);
 
 #[test]
 fn kill9_mid_cross_shard_delegation_promote_satisfies_the_oracle() {
-    let primary = Server::bind_sharded(
+    let primary = Server::bind(
         "127.0.0.1:0",
         ShardedDb::new_mem(Strategy::Rh, 2, 0),
         ServerConfig::default(),
@@ -317,11 +321,8 @@ fn kill9_mid_cross_shard_delegation_promote_satisfies_the_oracle() {
 
     // Failover: promotion finishes the forward pass, undoes the staged
     // loser clusters, resolves in-doubt 2PC, and opens for writes.
-    let promoted = set.promote().expect("promote");
-    let db = match promoted {
-        PromotedDb::Sharded(db) => *db,
-        PromotedDb::Single(_) => panic!("two shards must promote to a sharded engine"),
-    };
+    let db = set.promote().expect("promote");
+    assert_eq!(db.shard_count(), 2, "two shards must promote to a two-shard engine");
 
     // The acked-effects oracle: acked commits serve exactly; the
     // unacked staged delegation never had a decision record, so

@@ -6,7 +6,7 @@
 use rh_common::codec::Codec;
 use rh_common::{ObjectId, TxnId};
 use rh_core::engine::{DbConfig, RhDb, Strategy};
-use rh_core::TxnEngine;
+use rh_core::sharded::ShardedDb;
 use rh_server::wire::{self, errcode, Hello, Op, Reply, ReplyBody, Request, Response};
 use rh_server::{Server, ServerConfig};
 use rh_wal::StableLog;
@@ -28,7 +28,7 @@ fn scratch(tag: &str) -> PathBuf {
 }
 
 fn mem_server(cfg: ServerConfig) -> Server {
-    Server::bind("127.0.0.1:0", RhDb::new(Strategy::Rh), cfg).expect("bind")
+    Server::bind("127.0.0.1:0", ShardedDb::from(RhDb::new(Strategy::Rh)), cfg).expect("bind")
 }
 
 /// Connects and consumes the hello, asserting admission.
@@ -177,7 +177,7 @@ fn pipelining_beyond_the_cap_earns_busy_not_queueing() {
     // slower than the reader, which is what fills the pipeline.
     let dir = scratch("busy");
     let stable = StableLog::open_dir(&dir).expect("open dir");
-    let db = RhDb::with_stable_log(Strategy::Rh, DbConfig::default(), stable);
+    let db = ShardedDb::from(RhDb::with_stable_log(Strategy::Rh, DbConfig::default(), stable));
     let server = Server::bind(
         "127.0.0.1:0",
         db,
@@ -229,9 +229,9 @@ fn drain_aborts_open_txns_checkpoints_and_returns_the_engine() {
     let ob = ObjectId(3);
     assert_eq!(call(&mut c, 2, Op::Write(t, ob, 77)), Reply::Ok(ReplyBody::Unit));
     // No commit: the drain must abort this transaction.
-    let mut db = server.shutdown().expect("drain");
+    let db = server.shutdown().expect("drain");
     assert_eq!(db.value_of(ob).expect("value"), 0, "uncommitted write must be undone");
-    assert!(!db.log().stable().master().is_null(), "drain must checkpoint");
+    assert!(!db.shard_log(0).unwrap().stable().master().is_null(), "drain must checkpoint");
     let stats = db.stats();
     assert_eq!(stats.counter("server.drains"), 1);
     assert!(stats.counter("server.txns.aborted_on_close") >= 1);
@@ -265,7 +265,7 @@ fn idle_sessions_are_closed_and_their_txns_aborted() {
 
 #[test]
 fn stats_flow_through_wire_and_introspection_alike() {
-    let mut db = RhDb::new(Strategy::Rh);
+    let db = ShardedDb::from(RhDb::new(Strategy::Rh));
     let iaddr = db.serve_introspection("127.0.0.1:0").expect("introspection");
     let server = Server::bind("127.0.0.1:0", db, ServerConfig::default()).expect("bind");
     let mut c = connect(server.local_addr());
@@ -285,8 +285,9 @@ fn stats_flow_through_wire_and_introspection_alike() {
     assert!(counter("server.requests") >= 4);
     assert_eq!(counter("server.commits"), 1);
 
-    // Same counters through the engine's live introspection endpoint:
-    // the server publishes into the engine's registry, so /stats sees it.
+    // Same counters through the live introspection endpoint: the server
+    // publishes into the router's registry, which /stats merges with the
+    // shards'.
     let mut http = TcpStream::connect(iaddr).expect("http connect");
     use std::io::{Read, Write};
     http.write_all(b"GET /stats HTTP/1.0\r\n\r\n").expect("http send");
@@ -299,16 +300,20 @@ fn stats_flow_through_wire_and_introspection_alike() {
 
 #[test]
 fn only_traced_requests_leave_phase_points() {
-    let db = RhDb::new(Strategy::Rh);
+    let db = ShardedDb::from(RhDb::new(Strategy::Rh));
     let obs = std::sync::Arc::clone(db.obs());
+    let shard_obs = std::sync::Arc::clone(db.shard_obs(0).expect("shard 0"));
     let server = Server::bind("127.0.0.1:0", db, ServerConfig::default()).expect("bind");
     let mut c = connect(server.local_addr());
     // A session records a request's phases and histograms after sending
     // its reply; a ping's reply orders that work before the reads here.
+    // The session's own phases land on the router's tracer, the commit
+    // path's on the shard's where they ran.
     let phase_traces = |c: &mut TcpStream, id: u64| -> Vec<u64> {
         assert_eq!(call(c, id, Op::Ping), Reply::Ok(ReplyBody::Unit));
-        let snap = obs.tracer.snapshot();
-        snap.events.iter().filter(|e| e.name.starts_with("phase.")).map(|e| e.lsn_lo).collect()
+        let (router, shard) = (obs.tracer.snapshot(), shard_obs.tracer.snapshot());
+        let events = router.events.iter().chain(&shard.events);
+        events.filter(|e| e.name.starts_with("phase.")).map(|e| e.lsn_lo).collect()
     };
 
     let t = ok_txn(call(&mut c, 1, Op::Begin));

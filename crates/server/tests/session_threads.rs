@@ -11,6 +11,7 @@
 use rh_common::codec::Codec;
 use rh_common::ObjectId;
 use rh_core::engine::{RhDb, Strategy};
+use rh_core::sharded::ShardedDb;
 use rh_obs::Stopwatch;
 use rh_server::wire::{self, Hello, Op, Reply, ReplyBody, Request, Response};
 use rh_server::{Server, ServerConfig};
@@ -30,7 +31,7 @@ fn mem_server() -> Server {
 }
 
 fn mem_server_with(cfg: ServerConfig) -> Server {
-    Server::bind("127.0.0.1:0", RhDb::new(Strategy::Rh), cfg).expect("bind")
+    Server::bind("127.0.0.1:0", ShardedDb::from(RhDb::new(Strategy::Rh)), cfg).expect("bind")
 }
 
 /// Connects and consumes the hello, asserting admission.

@@ -20,7 +20,7 @@ const ODD: ObjectId = ObjectId(11);
 
 fn mem_sharded(cfg: ServerConfig) -> Server {
     let db = ShardedDb::new_mem(Strategy::Rh, 2, 0);
-    Server::bind_sharded("127.0.0.1:0", db, cfg).expect("bind")
+    Server::bind("127.0.0.1:0", db, cfg).expect("bind")
 }
 
 fn connect(addr: SocketAddr) -> TcpStream {
@@ -114,7 +114,7 @@ fn cross_shard_ops_route_and_commit_through_2pc() {
     assert_eq!(stats_counter(&mut c, next(), "shard.twopc.commits"), 2);
     assert_eq!(stats_counter(&mut c, next(), "shard.twopc.prepares"), 2);
 
-    let _db = server.shutdown_sharded().expect("drain");
+    let _db = server.shutdown().expect("drain");
 }
 
 #[test]
@@ -145,7 +145,7 @@ fn engine_errors_survive_the_routing_layer() {
     assert_eq!(call(&mut a, 8, Op::Abort(tb)), Reply::Ok(ReplyBody::Unit));
     assert_eq!(ok_value(call(&mut a, 9, Op::ValueOf(EVEN))), 0);
 
-    let _db = server.shutdown_sharded().expect("drain");
+    let _db = server.shutdown().expect("drain");
 }
 
 #[test]
@@ -156,7 +156,7 @@ fn sharded_drain_aborts_open_txns_and_checkpoints_every_shard() {
     assert_eq!(call(&mut c, 2, Op::Write(t, EVEN, 77)), Reply::Ok(ReplyBody::Unit));
     assert_eq!(call(&mut c, 3, Op::Write(t, ODD, 78)), Reply::Ok(ReplyBody::Unit));
     // No commit: the drain must abort this cross-shard transaction.
-    let db = server.shutdown_sharded().expect("drain");
+    let db = server.shutdown().expect("drain");
     assert_eq!(db.value_of(EVEN).expect("value"), 0, "uncommitted write must be undone");
     assert_eq!(db.value_of(ODD).expect("value"), 0);
     let stats = db.stats();
@@ -179,5 +179,5 @@ fn single_shard_sessions_keep_the_fast_path() {
     assert_eq!(stats_counter(&mut c, 5, "shard.cross.txns"), 0);
     assert_eq!(stats_counter(&mut c, 6, "shard.twopc.prepares"), 0);
     assert_eq!(stats_counter(&mut c, 7, "server.commits"), 1);
-    let _db = server.shutdown_sharded().expect("drain");
+    let _db = server.shutdown().expect("drain");
 }
