@@ -18,6 +18,8 @@ use crate::provenance::ProvenanceTable;
 use crate::txn_table::TrList;
 use rh_common::codec::{Codec, Reader, Writer};
 use rh_common::{Lsn, ObjectId, PageId, Result, TxnId, Value};
+use rh_wal::record::RecordBody;
+use rh_wal::LogManager;
 
 /// The state frozen into a `CheckpointEnd` record.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -83,6 +85,29 @@ impl Codec for CheckpointSnapshot {
             coord_decisions: Vec::decode(r)?,
             values: Vec::decode(r)?,
         })
+    }
+}
+
+impl CheckpointSnapshot {
+    /// The newest decodable snapshot in `log` at or below `at`, with the
+    /// LSN of its `CheckpointEnd` record — found through the log's
+    /// checkpoint index, older checkpoints tried while newer ones fail
+    /// to decode. Reenactment seeds from it; the cross-shard decision
+    /// lookup walks back through them, one call per checkpoint.
+    pub(crate) fn newest_at_or_below(log: &LogManager, at: Lsn) -> Result<Option<(Lsn, Self)>> {
+        let mut below = at;
+        while let Some(cl) = log.checkpoint_at_or_below(below)? {
+            if let RecordBody::CheckpointEnd { payload } = log.read(cl)?.body {
+                if let Ok(snap) = Self::from_bytes(&payload) {
+                    return Ok(Some((cl, snap)));
+                }
+            }
+            if cl == Lsn::FIRST {
+                break;
+            }
+            below = cl.prev();
+        }
+        Ok(None)
     }
 }
 

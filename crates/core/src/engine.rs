@@ -123,21 +123,11 @@ impl RhDb {
     /// "no recorder" with a `blackbox.errors` bump.
     pub fn with_stable_log(strategy: Strategy, config: DbConfig, stable: Arc<StableLog>) -> Self {
         let disk = Disk::new();
-        let obs = Arc::new(Obs::new());
-        let flight = match (stable.dir(), stable.io()) {
-            (Some(dir), Some(io)) => match FlightRecorder::attach(io, dir) {
-                Ok(f) => Some(f),
-                Err(_) => {
-                    obs.registry.inc(names::M_BLACKBOX_ERRORS);
-                    None
-                }
-            },
-            _ => None,
-        };
         let log = Arc::new(LogManager::attach(stable));
         let pool = BufferPool::new(Arc::clone(&disk), config.pool_pages);
+        let obs = Arc::new(Obs::new());
         let mut db = Self::from_parts(strategy, config, log, disk, pool, TrList::new(), 0, obs);
-        db.flight = flight;
+        db.attach_flight_recorder();
         db
     }
 
@@ -187,10 +177,18 @@ impl RhDb {
         *self.postmortem.lock() = Some(pm);
     }
 
-    /// Attaches a flight recorder (recovery does this after the log is
-    /// whole again).
-    pub(crate) fn attach_flight(&mut self, flight: FlightRecorder) {
-        self.flight = Some(flight);
+    /// Arms a flight recorder in the `obs/` subdirectory of a file-backed
+    /// log, through the log's own I/O layer (a fresh engine at birth, a
+    /// recovered or promoted one once its log is whole again). Attach
+    /// failures — e.g. on already-crashed fault-injected I/O — degrade to
+    /// "no recorder" with a `blackbox.errors` bump.
+    pub(crate) fn attach_flight_recorder(&mut self) {
+        let stable = self.log.stable();
+        let (Some(dir), Some(io)) = (stable.dir(), stable.io()) else { return };
+        match FlightRecorder::attach(io, dir) {
+            Ok(flight) => self.flight = Some(flight),
+            Err(_) => self.obs.registry.inc(names::M_BLACKBOX_ERRORS),
+        }
     }
 
     // ---- accessors --------------------------------------------------
@@ -296,7 +294,7 @@ impl RhDb {
     /// [`crate::reenact::query`]). Prepared-but-undecided transactions
     /// are presumed aborted, exactly as recovery would.
     pub fn read_as_of(&self, ob: ObjectId, lsn: Lsn) -> Result<Value> {
-        Ok(crate::reenact::query(&self.log, &self.obs, ob, lsn, Purpose::Value)?.value())
+        Ok(self.reenact(ob, lsn, Purpose::Value)?.value())
     }
 
     /// The committed version timeline of `ob` over `[from, to]`
@@ -310,8 +308,8 @@ impl RhDb {
         from: Lsn,
         to: Lsn,
     ) -> Result<Vec<crate::reenact::VersionRecord>> {
-        let r = crate::reenact::query(&self.log, &self.obs, ob, to, Purpose::History)?;
-        Ok(r.versions().into_iter().filter(|v| v.lsn >= from).collect())
+        let versions = self.reenact(ob, to, Purpose::History)?.versions();
+        Ok(versions.into_iter().filter(|v| v.lsn >= from).collect())
     }
 
     /// The full reenactment of `ob` at `as_of` — value, version
@@ -325,7 +323,7 @@ impl RhDb {
         as_of: Lsn,
         purpose: Purpose,
     ) -> Result<crate::reenact::Reenactment> {
-        crate::reenact::query(&self.log, &self.obs, ob, as_of, purpose)
+        crate::reenact::query(&self.log, &[], &self.obs, ob, as_of, purpose)
     }
 
     /// The postmortem built by the recovery that produced this

@@ -16,10 +16,18 @@
 //!   delegate: "this is done just as delegate (3) in normal processing");
 //! * collects the LSNs compensated by CLRs, so a backward pass after a
 //!   crash-during-recovery never undoes the same update twice.
+//!
+//! The analysis of one record is [`ForwardOutcome::apply`], the log's
+//! one record interpreter. Three callers run records through it, each
+//! with its own [`Replay`] observer: this pass and a read replica
+//! (`crate::replica`) share [`Redo`], which repeats history on the pages
+//! and counts into `scope.*` and `provenance.*`; reenactment
+//! (`crate::reenact`) folds one object's versions.
 
 use crate::checkpoint::CheckpointSnapshot;
+use crate::oblist::{ObList, ScopeAction};
 use crate::provenance::ProvenanceTable;
-use crate::txn_table::{TrList, TxnStatus};
+use crate::txn_table::{TrList, TxnEntry, TxnStatus};
 use rh_common::codec::Codec;
 use rh_common::{Lsn, ObjectId, Result, RhError, TxnId, UpdateOp};
 use rh_obs::{names, Obs};
@@ -49,6 +57,11 @@ pub struct ForwardStats {
     pub prepares_seen: u64,
 }
 
+/// Delegated scopes by identity `(ob, invoker, first)` →
+/// `(last, final owner)`: what the lazy baseline's backward pass walks
+/// besides the loser scopes.
+pub type LazyScopes = HashMap<(ObjectId, TxnId, Lsn), (Lsn, TxnId)>;
+
 /// Everything the forward pass reconstructs.
 #[derive(Debug)]
 pub struct ForwardOutcome {
@@ -59,11 +72,10 @@ pub struct ForwardOutcome {
     pub compensated: HashSet<Lsn>,
     /// Transaction-id high-water mark + 1.
     pub next_txn: u64,
-    /// Lazy-baseline bookkeeping: scope identity `(ob, invoker, first)` →
-    /// `(last, final owner)` for every scope ever delegated, including
-    /// scopes whose owner has since left the table. Empty unless tracking
-    /// was requested.
-    pub lazy_scopes: HashMap<(ObjectId, TxnId, Lsn), (Lsn, TxnId)>,
+    /// Lazy-baseline bookkeeping for every scope ever delegated,
+    /// including scopes whose owner has since left the table. `None`
+    /// unless tracking was requested.
+    pub lazy_scopes: Option<LazyScopes>,
     /// Per-object delegation responsibility chains: restored from the
     /// checkpoint snapshot, then extended by every delegate record the
     /// analysis region replays — the same hops normal processing
@@ -77,38 +89,127 @@ pub struct ForwardOutcome {
     pub stats: ForwardStats,
 }
 
-/// Ensures `txn` has a table entry; records of unknown transactions imply
-/// one (ARIES analysis does the same — and the lazy baseline can leave
-/// rewritten records positioned before their new owner's begin record).
-fn ensure_txn(tr: &mut TrList, txn: TxnId, lsn: Lsn) {
-    if !tr.contains(txn) {
-        tr.insert(txn, lsn);
+/// What [`ForwardOutcome::apply`] tells its observer: only what a record
+/// *did*. Restart recovery and replicas observe through [`Redo`], which
+/// repeats history on the pages; reenactment folds one object's
+/// versions (`crate::reenact`).
+pub(crate) trait Replay {
+    /// An update on `ob` by `txn` (`scope` says how the invoker's scope
+    /// moved), or a CLR (`scope` is `None`). Returns whether a page was
+    /// rewritten.
+    fn update(
+        &mut self,
+        lsn: Lsn,
+        txn: TxnId,
+        ob: ObjectId,
+        op: &UpdateOp,
+        scope: Option<ScopeAction>,
+    ) -> Result<bool>;
+
+    /// A delegate record of `tor` to `tee`, before its objects move.
+    fn delegate(&mut self, _lsn: Lsn, _tor: TxnId, _tee: TxnId) {}
+
+    /// Responsibility for `ob` moved from `tor` to `tee`: `merged` scopes
+    /// coalesced, and `depth` is the provenance chain's depth when the
+    /// hop is new to it.
+    fn moved(
+        &mut self,
+        ob: ObjectId,
+        tor: TxnId,
+        tee: TxnId,
+        lsn: Lsn,
+        merged: usize,
+        depth: Option<usize>,
+    );
+
+    /// `txn` committed at `lsn` (a `Commit` or `CoordCommit` record);
+    /// `fwd` is the state with the commit applied.
+    fn commit(&mut self, _fwd: &ForwardOutcome, _txn: TxnId, _lsn: Lsn) {}
+
+    /// `txn` aborted: its rollback already compensated every update it
+    /// answered for.
+    fn abort(&mut self, _txn: TxnId) {}
+}
+
+/// The observer restart recovery and replicas share: redoes every update
+/// and CLR whose effect is missing from its page (page-LSN test), and
+/// narrates the scope-table reconstruction into `obs` — scope opens and
+/// extends, delegate-record replays with their merge counts, and
+/// provenance hops. `span` is the enclosing forward-pass span when run
+/// inside a recovery; a replica's open-ended pass has none.
+pub(crate) struct Redo<'a> {
+    pub(crate) log: &'a LogManager,
+    pub(crate) pool: &'a mut BufferPool,
+    pub(crate) obs: &'a Obs,
+    pub(crate) span: Option<&'a rh_obs::SpanGuard<'a>>,
+}
+
+impl Redo<'_> {
+    /// Reapplies `op` at `lsn` unless `ob`'s page already reflects it.
+    fn redo(&mut self, lsn: Lsn, ob: ObjectId, op: &UpdateOp) -> Result<bool> {
+        let page_lsn = self.pool.page_lsn_of(ob, self.log)?;
+        if !page_lsn.is_null() && page_lsn >= lsn {
+            return Ok(false);
+        }
+        let cur = self.pool.read_object(ob, self.log)?;
+        self.pool.write_object(ob, op.apply(cur), lsn, self.log)?;
+        Ok(true)
     }
 }
 
-fn redo_if_needed(
-    pool: &mut BufferPool,
-    log: &LogManager,
-    lsn: Lsn,
-    ob: ObjectId,
-    op: &UpdateOp,
-    stats: &mut ForwardStats,
-) -> Result<()> {
-    let page_lsn = pool.page_lsn_of(ob, log)?;
-    if page_lsn.is_null() || page_lsn < lsn {
-        let cur = pool.read_object(ob, log)?;
-        pool.write_object(ob, op.apply(cur), lsn, log)?;
-        stats.redone += 1;
+impl Replay for Redo<'_> {
+    fn update(
+        &mut self,
+        lsn: Lsn,
+        _txn: TxnId,
+        ob: ObjectId,
+        op: &UpdateOp,
+        scope: Option<ScopeAction>,
+    ) -> Result<bool> {
+        match scope {
+            Some(ScopeAction::Opened) => self.obs.registry.inc(names::M_SCOPE_OPENS),
+            Some(ScopeAction::Extended) => self.obs.registry.inc(names::M_SCOPE_EXTENDS),
+            None => {}
+        }
+        self.redo(lsn, ob, op)
     }
-    Ok(())
+
+    fn delegate(&mut self, lsn: Lsn, tor: TxnId, tee: TxnId) {
+        self.obs.registry.inc(names::M_SCOPE_DELEGATE_REPLAYS);
+        if let Some(span) = self.span {
+            span.point(names::EV_DELEGATE_REPLAY, lsn.raw(), lsn.raw(), tor.raw(), tee.raw());
+        }
+    }
+
+    fn moved(
+        &mut self,
+        ob: ObjectId,
+        tor: TxnId,
+        tee: TxnId,
+        lsn: Lsn,
+        merged: usize,
+        depth: Option<usize>,
+    ) {
+        self.obs.registry.add(names::M_SCOPE_MERGES, merged as u64);
+        if let Some(depth) = depth {
+            self.obs.registry.inc(names::M_PROVENANCE_HOPS);
+            self.obs.registry.observe(names::M_PROVENANCE_CHAIN_DEPTH, depth as u64);
+            self.obs.tracer.point(
+                names::EV_PROVENANCE_HOP,
+                lsn.raw(),
+                ob.raw(),
+                tor.raw(),
+                tee.raw(),
+            );
+        }
+    }
 }
 
 /// Runs the forward pass. When `track_lazy` is set, also records every
 /// delegated scope for the lazy-rewrite baseline's backward pass.
 ///
-/// Scope-table reconstruction is narrated into `obs`: scope opens and
-/// extends, delegate-record replays (with their merge counts), and a
-/// `forward` span bracketing the whole sweep.
+/// Scope-table reconstruction is narrated into `obs` (see [`Redo`]),
+/// inside a `forward` span bracketing the whole sweep.
 pub fn forward_pass(
     log: &LogManager,
     pool: &mut BufferPool,
@@ -116,13 +217,7 @@ pub fn forward_pass(
     obs: &Obs,
 ) -> Result<ForwardOutcome> {
     let span = obs.tracer.span(names::SPAN_FORWARD);
-    let mut tr = TrList::new();
-    let mut compensated = HashSet::new();
-    let mut lazy_scopes = HashMap::new();
-    let mut prov = ProvenanceTable::new();
-    let mut coord_commits: Vec<(TxnId, Vec<u32>)> = Vec::new();
-    let mut next_txn: u64 = 0;
-    let mut stats = ForwardStats::default();
+    let mut fwd = ForwardOutcome::new(track_lazy);
 
     // ---- locate the starting points -----------------------------------
     let master = log.stable().master();
@@ -142,15 +237,6 @@ pub fn forward_pass(
                     let snap = CheckpointSnapshot::from_bytes(payload).map_err(|_| {
                         RhError::CorruptLog { lsn, reason: "undecodable checkpoint snapshot" }
                     })?;
-                    tr = snap.tr_list;
-                    next_txn = snap.next_txn;
-                    compensated.extend(snap.compensated.iter().copied());
-                    prov = snap.provenance;
-                    // Re-report coordinator decisions the snapshot
-                    // carried: their CoordCommit records lie behind this
-                    // anchor, but another shard's in-doubt resolution
-                    // may still depend on them.
-                    coord_commits.extend(snap.coord_decisions.iter().cloned());
                     analysis_from = lsn.next();
                     redo_from = snap
                         .dpt
@@ -160,197 +246,185 @@ pub fn forward_pass(
                         .min()
                         .unwrap_or(analysis_from)
                         .max(log.first_lsn());
+                    fwd.restore(snap);
                     break;
                 }
             }
             lsn = lsn.next();
         }
     }
-    stats.redo_from = redo_from;
-    stats.analysis_from = analysis_from;
+    fwd.stats.redo_from = redo_from;
+    fwd.stats.analysis_from = analysis_from;
 
     // ---- the single sweep ----------------------------------------------
+    let mut redo = Redo { log, pool, obs, span: Some(&span) };
     let end = log.curr_lsn();
     let mut lsn = redo_from;
     while lsn < end {
         let rec = log.read(lsn)?;
-        stats.records_scanned += 1;
-        if lsn < analysis_from {
-            // Redo-only region: state changes here are already reflected
-            // in the checkpoint snapshot; only page contents may lag.
-            match &rec.body {
-                RecordBody::Update { ob, op } | RecordBody::Clr { ob, op, .. } => {
-                    redo_if_needed(pool, log, lsn, *ob, op, &mut stats)?;
-                    if let RecordBody::Clr { compensated: c, .. } = &rec.body {
-                        compensated.insert(*c);
-                    }
-                }
-                _ => {}
+        fwd.stats.records_scanned += 1;
+        if lsn >= analysis_from {
+            fwd.apply(&rec, &mut redo)?;
+        } else if let RecordBody::Update { ob, op } | RecordBody::Clr { ob, op, .. } = &rec.body {
+            // Redo-only region: state changes here — the id high-water
+            // mark included — are already reflected in the checkpoint
+            // snapshot; only page contents may lag.
+            fwd.stats.redone += u64::from(redo.redo(lsn, *ob, op)?);
+            if let RecordBody::Clr { compensated: c, .. } = &rec.body {
+                fwd.compensated.insert(*c);
             }
-        } else {
-            apply_record(
-                log,
-                pool,
-                &mut tr,
-                &mut compensated,
-                &mut lazy_scopes,
-                &mut prov,
-                &mut coord_commits,
-                track_lazy,
-                &rec,
-                &mut stats,
-                obs,
-                Some(&span),
-            )?;
-        }
-        if !rec.txn.is_none() {
-            next_txn = next_txn.max(rec.txn.raw() + 1);
         }
         lsn = lsn.next();
     }
-
-    Ok(ForwardOutcome { tr, compensated, next_txn, lazy_scopes, prov, coord_commits, stats })
+    Ok(fwd)
 }
 
-/// Analyzes (and redoes) **one** record, mutating the forward-pass state
-/// in place — the loop body of [`forward_pass`]'s analysis region, made
-/// standalone so a read replica can stay in perpetual forward pass:
-/// every shipped record flows through exactly this function, so the
-/// replica's scope tables, provenance chains, and coordinator decisions
-/// are byte-for-byte what a restart recovery of the same log would
-/// build. `span` is the enclosing forward-pass span when run inside a
-/// recovery; a replica's open-ended pass has none.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn apply_record(
-    log: &LogManager,
-    pool: &mut BufferPool,
-    tr: &mut TrList,
-    compensated: &mut HashSet<Lsn>,
-    lazy_scopes: &mut HashMap<(ObjectId, TxnId, Lsn), (Lsn, TxnId)>,
-    prov: &mut ProvenanceTable,
-    coord_commits: &mut Vec<(TxnId, Vec<u32>)>,
-    track_lazy: bool,
-    rec: &LogRecord,
-    stats: &mut ForwardStats,
-    obs: &Obs,
-    span: Option<&rh_obs::SpanGuard<'_>>,
-) -> Result<()> {
-    let lsn = rec.lsn;
-    match &rec.body {
-        RecordBody::Begin => {
-            // LOSER BY DEFAULT (§3.6.1): a fresh entry is Active, and
-            // Active means loser until a commit record says otherwise.
-            ensure_txn(tr, rec.txn, lsn);
+impl ForwardOutcome {
+    /// The state before any record: an empty table. `track_lazy` asks
+    /// for the lazy baseline's scope bookkeeping.
+    pub(crate) fn new(track_lazy: bool) -> Self {
+        ForwardOutcome {
+            tr: TrList::new(),
+            compensated: HashSet::new(),
+            next_txn: 0,
+            lazy_scopes: track_lazy.then(HashMap::new),
+            prov: ProvenanceTable::new(),
+            coord_commits: Vec::new(),
+            stats: ForwardStats::default(),
         }
-        RecordBody::Update { ob, op } => {
-            ensure_txn(tr, rec.txn, lsn);
-            tr.set_bc(rec.txn, lsn)?;
-            // ADJUST SCOPES "just as update (1) in normal processing".
-            match tr.get_mut(rec.txn)?.ob_list.record_update(*ob, rec.txn, lsn) {
-                crate::oblist::ScopeAction::Opened => obs.registry.inc(names::M_SCOPE_OPENS),
-                crate::oblist::ScopeAction::Extended => obs.registry.inc(names::M_SCOPE_EXTENDS),
+    }
+
+    /// Restores what a checkpoint snapshot froze: the transaction table
+    /// with its scopes, the id high-water mark, the compensated LSNs and
+    /// the provenance chains.
+    pub(crate) fn restore(&mut self, snap: CheckpointSnapshot) {
+        self.tr = snap.tr_list;
+        self.next_txn = snap.next_txn;
+        self.compensated.extend(snap.compensated);
+        self.prov = snap.provenance;
+        // Re-report coordinator decisions the snapshot carried: their
+        // CoordCommit records lie behind this anchor, but another shard's
+        // in-doubt resolution may still depend on them.
+        self.coord_commits.extend(snap.coord_decisions);
+    }
+
+    /// Analyzes one record, mutating the forward-pass state in place, and
+    /// tells `replay` what it did. This is the log's only record
+    /// interpreter: the forward pass runs its analysis region through it,
+    /// a read replica every shipped record, and reenactment the records
+    /// that bear on one object — so a replica's scope tables, provenance
+    /// chains and coordinator decisions are byte-for-byte what a restart
+    /// recovery of the same log would build, and a time-travel read sees
+    /// the log with the semantics recovery gives it.
+    pub(crate) fn apply(&mut self, rec: &LogRecord, replay: &mut impl Replay) -> Result<()> {
+        let lsn = rec.lsn;
+        if !rec.txn.is_none() {
+            self.next_txn = self.next_txn.max(rec.txn.raw() + 1);
+        }
+        match &rec.body {
+            RecordBody::Begin => {
+                // LOSER BY DEFAULT (§3.6.1): a fresh entry is Active, and
+                // Active means loser until a commit record says otherwise.
+                self.enter(rec.txn, lsn)?;
             }
-            redo_if_needed(pool, log, lsn, *ob, op, stats)?;
-        }
-        RecordBody::Clr { ob, op, compensated: c, .. } => {
-            ensure_txn(tr, rec.txn, lsn);
-            tr.set_bc(rec.txn, lsn)?;
-            compensated.insert(*c);
-            redo_if_needed(pool, log, lsn, *ob, op, stats)?;
-        }
-        RecordBody::Delegate { tee, body, .. } => {
-            stats.delegations_seen += 1;
-            obs.registry.inc(names::M_SCOPE_DELEGATE_REPLAYS);
-            if let Some(span) = span {
-                span.point(
-                    names::EV_DELEGATE_REPLAY,
-                    lsn.raw(),
-                    lsn.raw(),
-                    rec.txn.raw(),
-                    tee.raw(),
-                );
+            RecordBody::Update { ob, op } => {
+                let entry = self.touch(rec.txn, lsn)?;
+                // ADJUST SCOPES "just as update (1) in normal processing".
+                let action = entry.ob_list.record_update(*ob, rec.txn, lsn);
+                self.stats.redone +=
+                    u64::from(replay.update(lsn, rec.txn, *ob, op, Some(action))?);
             }
-            ensure_txn(tr, rec.txn, lsn);
-            ensure_txn(tr, *tee, lsn);
-            // TRANSFER RESPONSIBILITY "just as delegate (3) in normal
-            // processing" — leniently: on a log the lazy baseline has
-            // rewritten, the delegator's entry may already be gone.
-            let objects: Vec<ObjectId> = match body {
-                DelegateBody::Objects(objs) => objs.clone(),
-                DelegateBody::All => tr.get(rec.txn)?.ob_list.objects().collect(),
-            };
-            for ob in objects {
-                if let Some(entry) = tr.get_mut(rec.txn)?.ob_list.take(ob) {
-                    if track_lazy {
+            RecordBody::Clr { ob, op, compensated: c, .. } => {
+                self.touch(rec.txn, lsn)?;
+                self.compensated.insert(*c);
+                self.stats.redone += u64::from(replay.update(lsn, rec.txn, *ob, op, None)?);
+            }
+            RecordBody::Delegate { tee, body, .. } => {
+                self.stats.delegations_seen += 1;
+                replay.delegate(lsn, rec.txn, *tee);
+                self.touch(rec.txn, lsn)?;
+                self.touch(*tee, lsn)?;
+                // TRANSFER RESPONSIBILITY "just as delegate (3) in normal
+                // processing" — leniently: on a log the lazy baseline has
+                // rewritten, the delegator's entry may already be gone.
+                let objects: Vec<ObjectId> = match body {
+                    DelegateBody::Objects(objs) => objs.clone(),
+                    DelegateBody::All => self.tr.get(rec.txn)?.ob_list.objects().collect(),
+                };
+                for ob in objects {
+                    let Some(entry) = self.tr.get_mut(rec.txn)?.ob_list.take(ob) else { continue };
+                    if let Some(lazy) = &mut self.lazy_scopes {
                         for s in &entry.scopes {
-                            lazy_scopes.insert((ob, s.invoker, s.first), (s.last, *tee));
+                            lazy.insert((ob, s.invoker, s.first), (s.last, *tee));
                         }
                     }
-                    let merged = tr.get_mut(*tee)?.ob_list.absorb(ob, entry, rec.txn);
-                    obs.registry.add(names::M_SCOPE_MERGES, merged as u64);
+                    let merged = self.tr.get_mut(*tee)?.ob_list.absorb(ob, entry, rec.txn);
                     // REBUILD PROVENANCE: the same hop normal processing
                     // recorded. Idempotent per (ob, lsn), so hops already
                     // restored from the checkpoint are not re-counted.
-                    if let Some(depth) = prov.record_hop(ob, rec.txn, *tee, lsn) {
-                        obs.registry.inc(names::M_PROVENANCE_HOPS);
-                        obs.registry.observe(names::M_PROVENANCE_CHAIN_DEPTH, depth as u64);
-                        obs.tracer.point(
-                            names::EV_PROVENANCE_HOP,
-                            lsn.raw(),
-                            ob.raw(),
-                            rec.txn.raw(),
-                            tee.raw(),
-                        );
-                    }
+                    let depth = self.prov.record_hop(ob, rec.txn, *tee, lsn);
+                    replay.moved(ob, rec.txn, *tee, lsn, merged, depth);
                 }
             }
-            tr.set_bc(rec.txn, lsn)?;
-            tr.set_bc(*tee, lsn)?;
+            RecordBody::Commit => {
+                self.stats.commits_seen += 1;
+                // WINNER (§3.6.1): "Declare t as a winner."
+                self.touch(rec.txn, lsn)?.status = TxnStatus::Committed;
+                replay.commit(self, rec.txn, lsn);
+            }
+            RecordBody::CoordCommit { participants } => {
+                self.coord_commits.push((rec.txn, participants.clone()));
+                // The coordinator record's durability IS the global commit:
+                // locally the transaction is a winner from here on, even if
+                // its (lazily flushed) participant Commit record was lost.
+                self.touch(rec.txn, lsn)?.status = TxnStatus::Committed;
+                replay.commit(self, rec.txn, lsn);
+            }
+            RecordBody::Abort => {
+                self.stats.aborts_seen += 1;
+                let entry = self.touch(rec.txn, lsn)?;
+                entry.status = TxnStatus::Aborted;
+                // The abort record is only written after every responsible
+                // update was undone and compensated (§3.5 abort), so these
+                // scopes have nothing left to undo — drop them so the
+                // backward pass does not walk dead clusters.
+                entry.ob_list = ObList::new();
+                replay.abort(rec.txn);
+            }
+            RecordBody::End => {
+                self.tr.remove(rec.txn);
+            }
+            RecordBody::Prepare => {
+                self.stats.prepares_seen += 1;
+                // IN DOUBT: prepared, and no local commit/abort seen yet. A
+                // later Commit/Abort record overrides this, exactly as during
+                // normal 2PC processing.
+                self.touch(rec.txn, lsn)?.status = TxnStatus::Prepared;
+            }
+            RecordBody::CheckpointBegin | RecordBody::CheckpointEnd { .. } => {
+                // A checkpoint later than the master anchor (or an incomplete
+                // one): its information is redundant with the live scan.
+            }
         }
-        RecordBody::Commit => {
-            stats.commits_seen += 1;
-            ensure_txn(tr, rec.txn, lsn);
-            tr.set_bc(rec.txn, lsn)?;
-            // WINNER (§3.6.1): "Declare t as a winner."
-            tr.get_mut(rec.txn)?.status = TxnStatus::Committed;
-        }
-        RecordBody::Abort => {
-            stats.aborts_seen += 1;
-            ensure_txn(tr, rec.txn, lsn);
-            tr.set_bc(rec.txn, lsn)?;
-            let entry = tr.get_mut(rec.txn)?;
-            entry.status = TxnStatus::Aborted;
-            // The abort record is only written after every responsible
-            // update was undone and compensated (§3.5 abort), so these
-            // scopes have nothing left to undo — drop them so the
-            // backward pass does not walk dead clusters.
-            entry.ob_list = crate::oblist::ObList::new();
-        }
-        RecordBody::End => {
-            tr.remove(rec.txn);
-        }
-        RecordBody::Prepare => {
-            stats.prepares_seen += 1;
-            ensure_txn(tr, rec.txn, lsn);
-            tr.set_bc(rec.txn, lsn)?;
-            // IN DOUBT: prepared, and no local commit/abort seen yet. A
-            // later Commit/Abort record overrides this, exactly as during
-            // normal 2PC processing.
-            tr.get_mut(rec.txn)?.status = TxnStatus::Prepared;
-        }
-        RecordBody::CoordCommit { participants } => {
-            ensure_txn(tr, rec.txn, lsn);
-            tr.set_bc(rec.txn, lsn)?;
-            coord_commits.push((rec.txn, participants.clone()));
-            // The coordinator record's durability IS the global commit:
-            // locally the transaction is a winner from here on, even if
-            // its (lazily flushed) participant Commit record was lost.
-            tr.get_mut(rec.txn)?.status = TxnStatus::Committed;
-        }
-        RecordBody::CheckpointBegin | RecordBody::CheckpointEnd { .. } => {
-            // A checkpoint later than the master anchor (or an incomplete
-            // one): its information is redundant with the live scan.
-        }
+        Ok(())
     }
-    Ok(())
+
+    /// `txn`'s entry, entered first if unknown: records of unknown
+    /// transactions imply one (ARIES analysis does the same — and the
+    /// lazy baseline can leave rewritten records positioned before their
+    /// new owner's begin record).
+    fn enter(&mut self, txn: TxnId, lsn: Lsn) -> Result<&mut TxnEntry> {
+        if !self.tr.contains(txn) {
+            self.tr.insert(txn, lsn);
+        }
+        self.tr.get_mut(txn)
+    }
+
+    /// [`Self::enter`], making the record at `lsn` the head of `txn`'s
+    /// backward chain.
+    fn touch(&mut self, txn: TxnId, lsn: Lsn) -> Result<&mut TxnEntry> {
+        let entry = self.enter(txn, lsn)?;
+        entry.last_lsn = lsn;
+        Ok(entry)
+    }
 }

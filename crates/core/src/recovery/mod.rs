@@ -8,12 +8,11 @@ pub mod clusters;
 pub mod forward;
 
 pub use backward::{undo_scopes, UndoStats, WalkScope};
-pub use forward::{forward_pass, ForwardOutcome, ForwardStats};
+pub use forward::{forward_pass, ForwardOutcome, ForwardStats, LazyScopes};
 
 use crate::engine::{DbConfig, RhDb, Strategy};
-use crate::flight::FlightRecorder;
 use crate::scope::Scope;
-use crate::txn_table::TxnStatus;
+use crate::txn_table::{TrList, TxnStatus};
 use rh_common::{Lsn, ObjectId, Result, TxnId};
 use rh_obs::{blackbox, names, BlackBoxRecord, JsonValue, Obs, Stopwatch};
 use rh_storage::{BufferPool, Disk};
@@ -78,17 +77,15 @@ fn load_predecessor_blackbox(stable: &StableLog) -> Option<BlackBoxRecord> {
 /// Collects the scopes the backward pass must walk. For RH: exactly the
 /// loser scopes ("It is enough to inspect records within the loser
 /// scopes to find all loser updates", §3.6.2). The lazy baseline
-/// additionally walks every *delegated* scope — winners included —
-/// because it physically rewrites the log to reflect the delegations
-/// (§3.2). A scope's identity is (object, invoker, first-LSN); the live
-/// table's version is preferred (it may have been extended after a
-/// delegation back). Shared by restart recovery and replica promotion —
-/// a promotion's backward pass walks exactly what a recovery's would.
-pub(crate) fn collect_walk_scopes(
-    tr: &crate::txn_table::TrList,
+/// (`lazy_scopes` present) additionally walks every *delegated* scope —
+/// winners included — because it physically rewrites the log to reflect
+/// the delegations (§3.2). A scope's identity is (object, invoker,
+/// first-LSN); the live table's version is preferred (it may have been
+/// extended after a delegation back).
+fn collect_walk_scopes(
+    tr: &TrList,
     losers: &[TxnId],
-    lazy: bool,
-    lazy_scopes: &std::collections::HashMap<(ObjectId, TxnId, Lsn), (Lsn, TxnId)>,
+    lazy_scopes: Option<&LazyScopes>,
 ) -> Result<Vec<WalkScope>> {
     let loser_set: HashSet<TxnId> = losers.iter().copied().collect();
     let mut scopes: Vec<WalkScope> = Vec::new();
@@ -97,7 +94,7 @@ pub(crate) fn collect_walk_scopes(
             scopes.push(WalkScope { owner: t, ob, scope, loser: true });
         }
     }
-    if lazy {
+    if let Some(lazy_scopes) = lazy_scopes {
         let present: HashSet<(ObjectId, TxnId, Lsn)> =
             scopes.iter().map(|ws| (ws.ob, ws.scope.invoker, ws.scope.first)).collect();
         for (&(ob, invoker, first), &(last, owner)) in lazy_scopes {
@@ -118,12 +115,8 @@ pub(crate) fn collect_walk_scopes(
 /// Terminates the losers (Abort if not already aborted, then End) and
 /// Ends committed transactions whose End record was lost in the crash,
 /// draining the table down to the in-doubt survivors. The caller forces
-/// the log afterwards. Shared by restart recovery and replica promotion.
-pub(crate) fn terminate_losers(
-    log: &LogManager,
-    tr: &mut crate::txn_table::TrList,
-    losers: &[TxnId],
-) -> Result<()> {
+/// the log afterwards.
+fn terminate_losers(log: &LogManager, tr: &mut TrList, losers: &[TxnId]) -> Result<()> {
     for &t in losers {
         if tr.get(t)?.status != TxnStatus::Aborted {
             let prev = tr.bc(t)?;
@@ -142,12 +135,99 @@ pub(crate) fn terminate_losers(
     Ok(())
 }
 
+/// An engine whose forward pass has run: the log and pages it repeated
+/// history on, and the state it rebuilt. Restart recovery holds one
+/// between its two passes; a read replica holds one for as long as it
+/// follows a primary (`crate::replica`). Both end through
+/// [`Analyzed::finish`].
+pub(crate) struct Analyzed {
+    pub(crate) strategy: Strategy,
+    pub(crate) config: DbConfig,
+    pub(crate) log: Arc<LogManager>,
+    pub(crate) disk: Arc<Disk>,
+    pub(crate) pool: BufferPool,
+    pub(crate) fwd: ForwardOutcome,
+    pub(crate) obs: Arc<Obs>,
+}
+
+impl Analyzed {
+    /// Attaches to `stable` and runs the forward pass over the whole
+    /// retained log, from the master's checkpoint if there is one.
+    pub(crate) fn open(
+        strategy: Strategy,
+        config: DbConfig,
+        stable: Arc<StableLog>,
+        disk: Arc<Disk>,
+        obs: Arc<Obs>,
+    ) -> Result<Self> {
+        let log = Arc::new(LogManager::attach(stable));
+        let mut pool = BufferPool::new(Arc::clone(&disk), config.pool_pages);
+        let fwd = forward_pass(&log, &mut pool, strategy == Strategy::LazyRewrite, &obs)?;
+        Ok(Analyzed { strategy, config, log, disk, pool, fwd, obs })
+    }
+
+    /// The backward tail restart recovery and replica promotion share:
+    /// undo the loser scopes, terminate the losers, force the log, then
+    /// open the engine and re-arm its flight recorder. Returns the engine
+    /// and its report; `elapsed` runs from `started` to the log force,
+    /// and the log and disk deltas from the given snapshots. The report's
+    /// `forward_wall` and `postmortem` are left for the caller.
+    pub(crate) fn finish(
+        self,
+        started: &Stopwatch,
+        log_before: &LogMetricsSnapshot,
+        disk_before: &rh_storage::DiskMetricsSnapshot,
+    ) -> Result<(RhDb, RecoveryReport)> {
+        let Analyzed { strategy, config, log, disk, mut pool, mut fwd, obs } = self;
+        let lazy = strategy == Strategy::LazyRewrite;
+        let (tr, compensated) = (&mut fwd.tr, &mut fwd.compensated);
+        let losers = tr.losers();
+        let scopes = collect_walk_scopes(tr, &losers, fwd.lazy_scopes.as_ref())?;
+        let undo_started = Stopwatch::start();
+        let undo = undo_scopes(&log, &mut pool, tr, scopes, compensated, lazy, &obs)?;
+        let undo_wall = undo_started.elapsed();
+        terminate_losers(&log, tr, &losers)?;
+        log.flush_all()?;
+        let elapsed = started.elapsed();
+        // Only in-doubt (2PC-prepared) transactions may survive; the
+        // sharded resolver terminates them once every shard's decision
+        // records have been unioned.
+        let indoubt = tr.with_status(TxnStatus::Prepared);
+        debug_assert!(tr.len() == indoubt.len(), "the tail must drain all but the in-doubt");
+        let report = RecoveryReport {
+            winners_seen: fwd.stats.commits_seen,
+            forward: fwd.stats,
+            undo,
+            losers,
+            indoubt,
+            coord_commits: fwd.coord_commits,
+            elapsed,
+            forward_wall: Duration::ZERO,
+            undo_wall,
+            log_delta: log.metrics().snapshot().since(log_before),
+            disk_delta: disk.metrics().snapshot().since(disk_before),
+            postmortem: None,
+        };
+
+        let mut db = RhDb::from_parts(strategy, config, log, disk, pool, fwd.tr, fwd.next_txn, obs);
+        db.set_provenance(fwd.prov);
+        // Decisions survive into the new incarnation's checkpoints until
+        // the sharded resolver retires them (unsharded logs never have
+        // any).
+        db.set_coord_decisions(&report.coord_commits);
+        // Re-arm the flight recorder for this incarnation, through the
+        // same I/O layer as the log.
+        db.attach_flight_recorder();
+        Ok((db, report))
+    }
+}
+
 /// Runs restart recovery and returns a ready-to-use engine.
 ///
 /// Steps (Fig. 3): attach to the stable log, forward pass from the last
-/// checkpoint (analysis + redo), collect loser scopes, backward pass over
-/// loser-scope clusters, then terminate losers with abort/end records and
-/// force the log.
+/// checkpoint (analysis + redo), then the backward tail shared with
+/// replica promotion ([`Analyzed::finish`]): backward pass over
+/// loser-scope clusters, abort/end records for the losers, log force.
 pub fn recover(
     strategy: Strategy,
     config: DbConfig,
@@ -165,95 +245,40 @@ pub fn recover(
     // obs context becomes the recovered engine's, `/timeseries` shows
     // the recovery era alongside live serving samples.
     obs.mark_timeseries(names::TS_RECOVERY_START);
-    let log = Arc::new(LogManager::attach(stable));
-    let mut pool = BufferPool::new(Arc::clone(&disk), config.pool_pages);
-    let log_before = log.metrics().snapshot();
     let disk_before = disk.metrics().snapshot();
 
     // ---- forward pass (analysis + redo) ------------------------------
-    let lazy = strategy == Strategy::LazyRewrite;
     let fwd_started = Stopwatch::start();
-    let fwd = forward_pass(&log, &mut pool, lazy, &obs)?;
+    let analyzed = Analyzed::open(strategy, config, stable, disk, Arc::clone(&obs))?;
     let forward_wall = fwd_started.elapsed();
     obs.mark_timeseries(names::TS_RECOVERY_FORWARD);
     {
         use rh_obs::trace::NONE;
-        span.point(names::EV_PAGES_REDONE, NONE, NONE, NONE, fwd.stats.redone);
+        span.point(names::EV_PAGES_REDONE, NONE, NONE, NONE, analyzed.fwd.stats.redone);
     }
-    let mut tr = fwd.tr;
-    let losers = tr.losers();
-    let scopes = collect_walk_scopes(&tr, &losers, lazy, &fwd.lazy_scopes)?;
 
-    // ---- backward pass -------------------------------------------------
-    let mut compensated = fwd.compensated;
-    let undo_started = Stopwatch::start();
-    let undo = undo_scopes(&log, &mut pool, &mut tr, scopes, &mut compensated, lazy, &obs)?;
-    let undo_wall = undo_started.elapsed();
-    obs.mark_timeseries(names::TS_RECOVERY_UNDO);
-
-    // ---- terminate losers and stragglers --------------------------------
-    terminate_losers(&log, &mut tr, &losers)?;
-    log.flush_all()?;
-    // Only in-doubt (2PC-prepared) transactions may survive recovery;
-    // the sharded resolver terminates them once every shard's decision
-    // records have been unioned.
-    let indoubt = tr.with_status(TxnStatus::Prepared);
-    debug_assert!(
-        tr.len() == indoubt.len(),
-        "recovery must drain all but the in-doubt transactions"
-    );
+    // ---- backward pass, termination, log force --------------------------
+    // The log was attached fresh, so all of its counts are this recovery's.
+    let log_before = LogMetricsSnapshot::default();
+    let (mut db, mut report) = analyzed.finish(&started, &log_before, &disk_before)?;
     drop(span);
-
-    let elapsed = started.elapsed();
-    let log_delta = log.metrics().snapshot().since(&log_before);
-    let disk_delta = disk.metrics().snapshot().since(&disk_before);
+    obs.mark_timeseries(names::TS_RECOVERY_UNDO);
     obs.registry.inc(names::M_RECOVERY_RUNS);
     obs.registry.observe(names::M_RECOVERY_FORWARD_US, forward_wall.as_micros() as u64);
-    obs.registry.observe(names::M_RECOVERY_UNDO_US, undo_wall.as_micros() as u64);
-    obs.registry.observe(names::M_RECOVERY_TOTAL_US, elapsed.as_micros() as u64);
+    obs.registry.observe(names::M_RECOVERY_UNDO_US, report.undo_wall.as_micros() as u64);
+    obs.registry.observe(names::M_RECOVERY_TOTAL_US, report.elapsed.as_micros() as u64);
     obs.mark_timeseries(names::TS_RECOVERY_DONE);
-
-    let mut db =
-        RhDb::from_parts(strategy, config, log, disk, pool, tr, fwd.next_txn, Arc::clone(&obs));
-    db.set_provenance(fwd.prov);
-    // Decisions survive into the new incarnation's checkpoints until the
-    // sharded resolver retires them (unsharded logs never have any).
-    db.set_coord_decisions(&fwd.coord_commits);
-
-    // Re-arm the flight recorder for this incarnation, through the same
-    // I/O layer as the log (attach failures — e.g. a recovery running on
-    // already-crashed fault-injected I/O — degrade to "no recorder").
-    let stable = db.log().stable();
-    if let (Some(dir), Some(io)) = (stable.dir(), stable.io()) {
-        match FlightRecorder::attach(io, dir) {
-            Ok(flight) => db.attach_flight(flight),
-            Err(_) => obs.registry.inc(names::M_BLACKBOX_ERRORS),
-        }
-    }
 
     // The postmortem diffs the predecessor's frozen counters against the
     // recovered process's one-stop stats view.
-    let postmortem = predecessor
+    report.forward_wall = forward_wall;
+    report.postmortem = predecessor
         .as_ref()
         .map(|pred| blackbox::postmortem(pred, &db.stats(), blackbox::DEFAULT_FINAL_EVENTS));
-    if let Some(pm) = &postmortem {
+    if let Some(pm) = &report.postmortem {
         db.set_postmortem(pm.clone());
     }
-
-    db.set_recovery_report(RecoveryReport {
-        winners_seen: fwd.stats.commits_seen,
-        forward: fwd.stats,
-        undo,
-        losers,
-        indoubt,
-        coord_commits: fwd.coord_commits,
-        elapsed,
-        forward_wall,
-        undo_wall,
-        log_delta,
-        disk_delta,
-        postmortem,
-    });
+    db.set_recovery_report(report);
     // First record of the new incarnation: the full recovery timeline.
     db.record_blackbox("recovery");
     Ok(db)

@@ -9,7 +9,7 @@
 //! into a queryable surface, in the spirit of reenactment query
 //! processing (Arab et al., arXiv:1608.08258): [`replay`] reconstructs an
 //! object's state at any retained LSN by replaying the log through a
-//! *shadow* scope table, without ever touching live pages or the live
+//! *shadow* forward pass, without ever touching live pages or the live
 //! engine state.
 //!
 //! ## Algorithm
@@ -35,14 +35,17 @@
 //!    by binary-searched LSN range, so the cost is O(versions of the
 //!    object), not O(log). Every other record only moves state of other
 //!    objects.
-//! 3. **Replay.** Repeat history on the one object over the gathered
-//!    records in LSN order: every `Update`/`Clr` on it is applied, so
-//!    the running value at LSN L equals the page state a crash-recovery
-//!    at L would rebuild. Commit, abort, prepare, and delegate records
-//!    drive the shadow transaction table exactly as the recovery forward
-//!    pass does; a delegate additionally retargets the *pending* (not yet
-//!    committed) updates of the delegator to the delegatee, recording the
-//!    hop on each — that is the per-version provenance trail.
+//! 3. **Replay.** Run the gathered records in LSN order through the
+//!    recovery forward pass's own record interpreter
+//!    (`ForwardOutcome::apply`), seeded with the snapshot's state. The
+//!    interpreter drives the shadow transaction table, the compensated
+//!    set and the provenance chains exactly as a recovery does; this
+//!    module only *observes* what each record did, folding the one
+//!    object: every `Update`/`Clr` on it is applied, so the running value
+//!    at LSN L equals the page state a crash-recovery at L would rebuild,
+//!    and a delegation of it retargets the *pending* (not yet committed)
+//!    updates of the delegator to the delegatee, recording the hop on
+//!    each — that is the per-version provenance trail.
 //! 4. **Resolve.** A commit freezes the committer's un-compensated
 //!    pending updates into [`VersionRecord`]s. Updates still owned by an
 //!    active transaction at the target become the *undo set*: the
@@ -50,10 +53,11 @@
 //!    reverse LSN order — precisely what recovery's backward pass would
 //!    do, so `read_as_of(ob, L)` equals the committed state a crash at L
 //!    recovers. Prepared-but-undecided transactions involved with the
-//!    object are reported as [`InDoubt`]: the caller decides their fate
-//!    (the sharded router consults other shards' durable `CoordCommit`
-//!    records, stitching cross-shard histories by global transaction id;
-//!    a standalone engine presumes abort, like recovery).
+//!    object are [`InDoubt`]: [`query`] settles them against the
+//!    coordinator decisions in every shard's log it is handed
+//!    (stitching cross-shard histories by global transaction id), and
+//!    presumes abort for the rest — a standalone engine hands none and
+//!    presumes abort, like its recovery.
 //!
 //! The index is built by the queries themselves, only as far as the
 //! targets they ask about, so the write path pays nothing for it.
@@ -67,14 +71,16 @@
 //! intermediate value.
 
 use crate::checkpoint::CheckpointSnapshot;
+use crate::oblist::ScopeAction;
 use crate::provenance::{ProvHop, ProvenanceTable};
+use crate::recovery::forward::{ForwardOutcome, Replay};
+use crate::scope::Scope;
 use crate::txn_table::{TrList, TxnStatus};
-use rh_common::codec::Codec;
 use rh_common::{Lsn, ObjectId, Result, RhError, TxnId, UpdateOp, Value};
-use rh_obs::JsonValue;
-use rh_wal::record::{DelegateBody, LogRecord, RecordBody};
+use rh_obs::{names, JsonValue, Obs};
+use rh_wal::record::{LogRecord, RecordBody};
 use rh_wal::LogManager;
-use std::collections::{BTreeSet, HashSet};
+use std::collections::BTreeSet;
 
 /// One committed version of an object: an update stitched with its full
 /// responsibility trail.
@@ -120,13 +126,16 @@ impl VersionRecord {
 }
 
 /// A transaction prepared but undecided at the target LSN. Its effects
-/// are part of the all-applied value; the caller picks a fate.
+/// are part of the all-applied value; [`query`] settles its fate.
 #[derive(Debug, Clone)]
 pub struct InDoubt {
     /// The in-doubt transaction (a global id under 2PC).
     pub txn: TxnId,
     /// LSN of its `Prepare` record.
     pub prepared_at: Lsn,
+    /// Whether some shard's coordinator decision commits it; false until
+    /// [`query`] finds one (presumed abort).
+    committed: bool,
     /// The versions its updates become if a coordinator committed it.
     versions: Vec<VersionRecord>,
     /// The `(lsn, op)` pairs to undo if it is presumed aborted.
@@ -167,21 +176,13 @@ pub struct Reenactment {
 }
 
 impl Reenactment {
-    /// The committed value as of the target, presuming every in-doubt
-    /// transaction aborts — exactly what a crash at the target recovers
-    /// on a standalone engine.
+    /// The committed value as of the target: losers undone, and every
+    /// in-doubt transaction undone unless a coordinator decision
+    /// committed it — exactly what a crash at the target recovers.
     pub fn value(&self) -> Value {
-        self.value_with(|_| false)
-    }
-
-    /// The committed value as of the target, with `decided` answering
-    /// whether an in-doubt transaction was globally committed.
-    pub fn value_with(&self, decided: impl Fn(TxnId) -> bool) -> Value {
         let mut undo: Vec<(Lsn, UpdateOp)> = self.loser_undo.clone();
-        for d in &self.in_doubt {
-            if !decided(d.txn) {
-                undo.extend(d.undo.iter().cloned());
-            }
+        for d in self.in_doubt.iter().filter(|d| !d.committed) {
+            undo.extend(d.undo.iter().cloned());
         }
         // Reverse LSN order, like recovery's backward pass.
         undo.sort_by_key(|&(l, _)| std::cmp::Reverse(l));
@@ -192,40 +193,24 @@ impl Reenactment {
         v
     }
 
-    /// Committed versions in LSN order, presuming in-doubt aborts.
+    /// Committed versions in LSN order, those of decided in-doubt
+    /// transactions included.
     pub fn versions(&self) -> Vec<VersionRecord> {
-        self.versions_with(|_| false)
-    }
-
-    /// Committed versions in LSN order, merging in the versions of
-    /// in-doubt transactions `decided` reports as globally committed.
-    pub fn versions_with(&self, decided: impl Fn(TxnId) -> bool) -> Vec<VersionRecord> {
         let mut out = self.versions.clone();
-        for d in &self.in_doubt {
-            if decided(d.txn) {
-                out.extend(d.versions.iter().cloned());
-            }
+        for d in self.in_doubt.iter().filter(|d| d.committed) {
+            out.extend(d.versions.iter().cloned());
         }
         out.sort_by_key(|v| v.lsn);
         out
     }
 
-    /// Renders the `history.v1` artifact for this replay, restricting
-    /// versions to update LSNs within `[from, to]` (pass `Lsn::FIRST`
-    /// and the target to keep everything). `decided` resolves in-doubt
-    /// transactions, as in [`Self::versions_with`].
-    pub fn to_json_range(&self, from: Lsn, to: Lsn, decided: impl Fn(TxnId) -> bool) -> JsonValue {
-        let versions: Vec<JsonValue> = self
-            .versions_with(&decided)
-            .iter()
-            .filter(|v| v.lsn >= from && v.lsn <= to)
-            .map(VersionRecord::to_json)
-            .collect();
-        JsonValue::obj(vec![
-            ("schema", JsonValue::Str("history.v1".to_string())),
+    /// The fields every time-travel answer renders: object, target,
+    /// value, seed and in-doubt set.
+    fn answer_fields(&self) -> Vec<(&'static str, JsonValue)> {
+        vec![
             ("object", JsonValue::U64(self.ob.raw())),
             ("as_of", JsonValue::U64(self.as_of.raw())),
-            ("value", JsonValue::I64(self.value_with(&decided))),
+            ("value", JsonValue::I64(self.value())),
             (
                 "seeded_from",
                 match self.seeded_from {
@@ -237,8 +222,29 @@ impl Reenactment {
                 "in_doubt",
                 JsonValue::Arr(self.in_doubt.iter().map(|d| JsonValue::U64(d.txn.raw())).collect()),
             ),
-            ("versions", JsonValue::Arr(versions)),
-        ])
+        ]
+    }
+
+    /// Renders the `/asof` answer: the history document without its
+    /// schema tag and versions.
+    pub fn asof_json(&self) -> JsonValue {
+        JsonValue::obj(self.answer_fields())
+    }
+
+    /// Renders the `history.v1` artifact for this replay, restricting
+    /// versions to update LSNs within `[from, to]` (pass `Lsn::FIRST`
+    /// and the target to keep everything).
+    pub fn to_json_range(&self, from: Lsn, to: Lsn) -> JsonValue {
+        let versions: Vec<JsonValue> = self
+            .versions()
+            .iter()
+            .filter(|v| v.lsn >= from && v.lsn <= to)
+            .map(VersionRecord::to_json)
+            .collect();
+        let mut fields = vec![("schema", JsonValue::Str("history.v1".to_string()))];
+        fields.extend(self.answer_fields());
+        fields.push(("versions", JsonValue::Arr(versions)));
+        JsonValue::obj(fields)
     }
 }
 
@@ -253,18 +259,119 @@ struct Pending {
     hops: Vec<ProvHop>,
 }
 
+impl Pending {
+    /// The version this update becomes once `responsible` commits at
+    /// `committed_at`.
+    fn version(&self, responsible: TxnId, committed_at: Lsn) -> VersionRecord {
+        VersionRecord {
+            lsn: self.lsn,
+            value: self.value_after,
+            invoker: self.invoker,
+            responsible,
+            committed_at,
+            hops: self.hops.clone(),
+            trace: None,
+        }
+    }
+}
+
 /// A transaction whose resolution needs pre-seed scope reconstruction:
 /// `committed_at` is `Some(lsn)` for winners, `None` for losers and
 /// in-doubt transactions (whose ops join an undo set instead).
 struct PreSeedNeed {
     txn: TxnId,
     committed_at: Option<Lsn>,
-    scopes: Vec<crate::scope::Scope>,
+    scopes: Vec<Scope>,
 }
 
-fn ensure_txn(tr: &mut TrList, txn: TxnId, lsn: Lsn) {
-    if !tr.contains(txn) {
-        tr.insert(txn, lsn);
+/// `t`'s scopes on `ob` that reach back before the seed (`scan_from`).
+fn pre_seed_scopes(tr: &TrList, t: TxnId, ob: ObjectId, scan_from: Lsn) -> Vec<Scope> {
+    tr.get(t)
+        .ok()
+        .and_then(|e| e.ob_list.get(ob))
+        .map(|e| e.scopes.iter().filter(|s| s.first < scan_from).copied().collect())
+        .unwrap_or_default()
+}
+
+/// Reenactment's observer of the forward pass's interpreter: folds one
+/// object's running value, its pending updates with their hop trails,
+/// and the versions each commit freezes.
+struct Fold {
+    ob: ObjectId,
+    /// First record after the seed.
+    scan_from: Lsn,
+    val: Value,
+    pending: Vec<Pending>,
+    versions: Vec<VersionRecord>,
+    /// Scopes on `ob` reaching back before the seed, captured at the
+    /// moment the owning transaction commits (or, for active and
+    /// prepared ones, at scan end) — resolved by the pre-seed pass.
+    needs: Vec<PreSeedNeed>,
+}
+
+impl Replay for Fold {
+    fn update(
+        &mut self,
+        lsn: Lsn,
+        txn: TxnId,
+        ob: ObjectId,
+        op: &UpdateOp,
+        scope: Option<ScopeAction>,
+    ) -> Result<bool> {
+        if ob == self.ob {
+            self.val = op.apply(self.val);
+            // A CLR (no scope action) only re-reverses the value.
+            if scope.is_some() {
+                self.pending.push(Pending {
+                    lsn,
+                    value_after: self.val,
+                    invoker: txn,
+                    owner: txn,
+                    op: *op,
+                    hops: Vec::new(),
+                });
+            }
+        }
+        Ok(false)
+    }
+
+    fn moved(
+        &mut self,
+        ob: ObjectId,
+        tor: TxnId,
+        tee: TxnId,
+        lsn: Lsn,
+        _merged: usize,
+        _depth: Option<usize>,
+    ) {
+        if ob == self.ob {
+            // Responsibility for the pending updates of the delegator
+            // moves to the delegatee.
+            for p in self.pending.iter_mut().filter(|p| p.owner == tor) {
+                p.owner = tee;
+                p.hops.push(ProvHop { from: tor, to: tee, lsn });
+            }
+        }
+    }
+
+    fn commit(&mut self, fwd: &ForwardOutcome, txn: TxnId, lsn: Lsn) {
+        let scopes = pre_seed_scopes(&fwd.tr, txn, self.ob, self.scan_from);
+        if !scopes.is_empty() {
+            self.needs.push(PreSeedNeed { txn, committed_at: Some(lsn), scopes });
+        }
+        for p in self.pending.iter().filter(|p| p.owner == txn) {
+            if !fwd.compensated.contains(&p.lsn) {
+                self.versions.push(p.version(txn, lsn));
+            }
+        }
+        self.pending.retain(|p| p.owner != txn);
+    }
+
+    fn abort(&mut self, txn: TxnId) {
+        // The abort record follows the CLRs that undid every responsible
+        // update — those pendings are already re-reversed in `val`, so
+        // they simply disappear.
+        self.pending.retain(|p| p.owner != txn);
     }
 }
 
@@ -293,11 +400,11 @@ fn hops_for(
 /// Reenacts `ob` up to `as_of` (inclusive; `Lsn::NULL` means the log's
 /// last record) against `log` alone — live pages and live engine state
 /// are never consulted, so this can run concurrently with a loaded
-/// engine. Errors with [`RhError::Reenact`] when the target precedes the
-/// retained log and no surviving checkpoint covers it.
+/// engine. In-doubt transactions are left presumed aborted. Errors with
+/// [`RhError::Reenact`] when the target precedes the retained log and no
+/// surviving checkpoint covers it.
 pub fn replay(log: &LogManager, ob: ObjectId, as_of: Lsn) -> Result<Reenactment> {
     let last = log.last_lsn();
-    let mut scanned: u64 = 0;
     if last.is_null() {
         // Empty log: the object is at its initial value, no history.
         return Ok(Reenactment {
@@ -315,30 +422,16 @@ pub fn replay(log: &LogManager, ob: ObjectId, as_of: Lsn) -> Result<Reenactment>
     let first = log.first_lsn();
 
     // ---- seed: newest decodable CheckpointEnd at-or-below the target --
-    let mut seed: Option<(Lsn, CheckpointSnapshot)> = None;
-    let mut below = as_of;
-    while let Some(cl) = log.checkpoint_at_or_below(below)? {
-        let rec = log.read(cl)?;
-        scanned += 1;
-        if let RecordBody::CheckpointEnd { payload } = &rec.body {
-            if let Ok(snap) = CheckpointSnapshot::from_bytes(payload) {
-                seed = Some((cl, snap));
-                break;
-            }
-        }
-        if cl == Lsn::FIRST {
-            break;
-        }
-        below = cl.prev();
-    }
+    let seed = CheckpointSnapshot::newest_at_or_below(log, as_of)?;
     if seed.is_none() && first > Lsn::FIRST {
         return Err(RhError::Reenact {
             as_of,
             reason: "target precedes the retained log and no checkpoint survives at-or-below it",
         });
     }
-
-    let (scan_from, seed_val, mut tr, mut compensated, mut prov, seeded_from) = match seed {
+    let mut scanned = u64::from(seed.is_some());
+    let mut fwd = ForwardOutcome::new(false);
+    let (scan_from, seed_val, seeded_from) = match seed {
         Some((cl, snap)) => {
             let v = snap
                 .values
@@ -346,17 +439,10 @@ pub fn replay(log: &LogManager, ob: ObjectId, as_of: Lsn) -> Result<Reenactment>
                 .find(|(o, _)| *o == ob)
                 .map(|&(_, v)| v)
                 .unwrap_or(rh_storage::Page::INITIAL_VALUE);
-            let comp: HashSet<Lsn> = snap.compensated.iter().copied().collect();
-            (cl.next(), v, snap.tr_list, comp, snap.provenance, Some(cl))
+            fwd.restore(snap);
+            (cl.next(), v, Some(cl))
         }
-        None => (
-            first,
-            rh_storage::Page::INITIAL_VALUE,
-            TrList::new(),
-            HashSet::new(),
-            ProvenanceTable::new(),
-            None,
-        ),
+        None => (first, rh_storage::Page::INITIAL_VALUE, None),
     };
 
     // ---- gather: the records that can bear on this one object ----------
@@ -366,7 +452,7 @@ pub fn replay(log: &LogManager, ob: ObjectId, as_of: Lsn) -> Result<Reenactment>
     // `Delegate{All}`, hop by hop), and the holders in the seed
     // snapshot. Every other record only moves state of other objects.
     let mut involved: BTreeSet<TxnId> =
-        tr.iter().filter(|(_, e)| e.ob_list.contains(ob)).map(|(t, _)| t).collect();
+        fwd.tr.iter().filter(|(_, e)| e.ob_list.contains(ob)).map(|(t, _)| t).collect();
     let mut recs: Vec<LogRecord> = Vec::new();
     let own = if scan_from > as_of { Vec::new() } else { log.object_lsns(ob, scan_from, as_of)? };
     for l in own {
@@ -395,153 +481,45 @@ pub fn replay(log: &LogManager, ob: ObjectId, as_of: Lsn) -> Result<Reenactment>
     scanned += recs.len() as u64;
 
     // ---- replay: repeat history on this one object ---------------------
-    let mut val = seed_val;
-    let mut pending: Vec<Pending> = Vec::new();
-    let mut versions: Vec<VersionRecord> = Vec::new();
-    let mut needs: Vec<PreSeedNeed> = Vec::new();
-    let mut in_doubt: Vec<InDoubt> = Vec::new();
-
-    // Scopes on `ob` reaching back before the seed, captured at the
-    // moment the owning transaction resolves (commit) or at scan end
-    // (active/prepared) — resolved by the pre-seed pass below.
-    let pre_seed_scopes = |tr: &TrList, t: TxnId, scan_from: Lsn| -> Vec<crate::scope::Scope> {
-        tr.get(t)
-            .ok()
-            .and_then(|e| e.ob_list.get(ob))
-            .map(|e| e.scopes.iter().filter(|s| s.first < scan_from).copied().collect())
-            .unwrap_or_default()
+    let mut fold = Fold {
+        ob,
+        scan_from,
+        val: seed_val,
+        pending: Vec::new(),
+        versions: Vec::new(),
+        needs: Vec::new(),
     };
-
     for rec in &recs {
-        let lsn = rec.lsn;
-        match &rec.body {
-            RecordBody::Begin => ensure_txn(&mut tr, rec.txn, lsn),
-            RecordBody::Update { ob: o, op } => {
-                ensure_txn(&mut tr, rec.txn, lsn);
-                tr.set_bc(rec.txn, lsn)?;
-                tr.get_mut(rec.txn)?.ob_list.record_update(*o, rec.txn, lsn);
-                if *o == ob {
-                    val = op.apply(val);
-                    pending.push(Pending {
-                        lsn,
-                        value_after: val,
-                        invoker: rec.txn,
-                        owner: rec.txn,
-                        op: *op,
-                        hops: Vec::new(),
-                    });
-                }
-            }
-            RecordBody::Clr { ob: o, op, compensated: c, .. } => {
-                ensure_txn(&mut tr, rec.txn, lsn);
-                tr.set_bc(rec.txn, lsn)?;
-                compensated.insert(*c);
-                if *o == ob {
-                    val = op.apply(val);
-                }
-            }
-            RecordBody::Delegate { tee, body, .. } => {
-                ensure_txn(&mut tr, rec.txn, lsn);
-                ensure_txn(&mut tr, *tee, lsn);
-                let objects: Vec<ObjectId> = match body {
-                    DelegateBody::Objects(objs) => objs.clone(),
-                    DelegateBody::All => tr.get(rec.txn)?.ob_list.objects().collect(),
-                };
-                for o in objects {
-                    if let Some(entry) = tr.get_mut(rec.txn)?.ob_list.take(o) {
-                        tr.get_mut(*tee)?.ob_list.absorb(o, entry, rec.txn);
-                        prov.record_hop(o, rec.txn, *tee, lsn);
-                        if o == ob {
-                            // Responsibility for the pending updates of
-                            // the delegator moves to the delegatee.
-                            for p in pending.iter_mut().filter(|p| p.owner == rec.txn) {
-                                p.owner = *tee;
-                                p.hops.push(ProvHop { from: rec.txn, to: *tee, lsn });
-                            }
-                        }
-                    }
-                }
-                tr.set_bc(rec.txn, lsn)?;
-                tr.set_bc(*tee, lsn)?;
-            }
-            RecordBody::Commit | RecordBody::CoordCommit { .. } => {
-                ensure_txn(&mut tr, rec.txn, lsn);
-                tr.set_bc(rec.txn, lsn)?;
-                let scopes = pre_seed_scopes(&tr, rec.txn, scan_from);
-                if !scopes.is_empty() {
-                    needs.push(PreSeedNeed { txn: rec.txn, committed_at: Some(lsn), scopes });
-                }
-                tr.get_mut(rec.txn)?.status = TxnStatus::Committed;
-                let mut kept = Vec::with_capacity(pending.len());
-                for p in pending.drain(..) {
-                    if p.owner == rec.txn {
-                        if !compensated.contains(&p.lsn) {
-                            versions.push(VersionRecord {
-                                lsn: p.lsn,
-                                value: p.value_after,
-                                invoker: p.invoker,
-                                responsible: rec.txn,
-                                committed_at: lsn,
-                                hops: p.hops,
-                                trace: None,
-                            });
-                        }
-                    } else {
-                        kept.push(p);
-                    }
-                }
-                pending = kept;
-            }
-            RecordBody::Abort => {
-                ensure_txn(&mut tr, rec.txn, lsn);
-                tr.set_bc(rec.txn, lsn)?;
-                let entry = tr.get_mut(rec.txn)?;
-                entry.status = TxnStatus::Aborted;
-                // The abort record follows the CLRs that undid every
-                // responsible update — those pendings are already
-                // re-reversed in `val`, so they simply disappear.
-                entry.ob_list = crate::oblist::ObList::new();
-                pending.retain(|p| p.owner != rec.txn);
-            }
-            RecordBody::End => {
-                tr.remove(rec.txn);
-            }
-            RecordBody::Prepare => {
-                ensure_txn(&mut tr, rec.txn, lsn);
-                tr.set_bc(rec.txn, lsn)?;
-                tr.get_mut(rec.txn)?.status = TxnStatus::Prepared;
-            }
-            RecordBody::CheckpointBegin | RecordBody::CheckpointEnd { .. } => {}
-        }
+        fwd.apply(rec, &mut fold)?;
     }
+    let Fold { val, pending, mut versions, mut needs, .. } = fold;
 
     // ---- unresolved transactions at the target -------------------------
     // The seed snapshot may still carry transactions that never touched
     // this object; only the involved ones can be in doubt about it.
+    let mut in_doubt: Vec<InDoubt> = Vec::new();
     let mut loser_undo: Vec<(Lsn, UpdateOp)> = Vec::new();
-    for (t, e) in tr.iter() {
+    for (t, e) in fwd.tr.iter() {
         match e.status {
             TxnStatus::Active => {
-                let scopes = pre_seed_scopes(&tr, t, scan_from);
+                let scopes = pre_seed_scopes(&fwd.tr, t, ob, scan_from);
                 if !scopes.is_empty() {
                     needs.push(PreSeedNeed { txn: t, committed_at: None, scopes });
                 }
             }
             TxnStatus::Prepared if involved.contains(&t) => {
-                let scopes = pre_seed_scopes(&tr, t, scan_from);
+                let scopes = pre_seed_scopes(&fwd.tr, t, ob, scan_from);
                 let prepared_at = e.last_lsn;
-                let mut d = InDoubt { txn: t, prepared_at, versions: Vec::new(), undo: Vec::new() };
+                let mut d = InDoubt {
+                    txn: t,
+                    prepared_at,
+                    committed: false,
+                    versions: Vec::new(),
+                    undo: Vec::new(),
+                };
                 for p in pending.iter().filter(|p| p.owner == t) {
-                    if !compensated.contains(&p.lsn) {
-                        d.versions.push(VersionRecord {
-                            lsn: p.lsn,
-                            value: p.value_after,
-                            invoker: p.invoker,
-                            responsible: t,
-                            committed_at: prepared_at,
-                            hops: p.hops.clone(),
-                            trace: None,
-                        });
+                    if !fwd.compensated.contains(&p.lsn) {
+                        d.versions.push(p.version(t, prepared_at));
                         d.undo.push((p.lsn, p.op));
                     }
                 }
@@ -554,8 +532,8 @@ pub fn replay(log: &LogManager, ob: ObjectId, as_of: Lsn) -> Result<Reenactment>
         }
     }
     for p in pending.iter() {
-        let active = tr.get(p.owner).map(|e| e.status == TxnStatus::Active).unwrap_or(false);
-        if active && !compensated.contains(&p.lsn) {
+        let active = fwd.tr.get(p.owner).map(|e| e.status == TxnStatus::Active).unwrap_or(false);
+        if active && !fwd.compensated.contains(&p.lsn) {
             loser_undo.push((p.lsn, p.op));
         }
     }
@@ -581,7 +559,7 @@ pub fn replay(log: &LogManager, ob: ObjectId, as_of: Lsn) -> Result<Reenactment>
                 match &rec.body {
                     RecordBody::Update { op, .. } => pre_ops.push((l, rec.txn, *op, false)),
                     RecordBody::Clr { op, compensated: c, .. } => {
-                        compensated.insert(*c);
+                        fwd.compensated.insert(*c);
                         pre_ops.push((l, rec.txn, *op, true));
                     }
                     _ => {}
@@ -597,7 +575,7 @@ pub fn replay(log: &LogManager, ob: ObjectId, as_of: Lsn) -> Result<Reenactment>
         }
         for need in &needs {
             for (i, &(l, txn, op, is_clr)) in pre_ops.iter().enumerate() {
-                if is_clr || compensated.contains(&l) {
+                if is_clr || fwd.compensated.contains(&l) {
                     continue;
                 }
                 if !need.scopes.iter().any(|s| s.invoker == txn && s.covers(l)) {
@@ -610,7 +588,7 @@ pub fn replay(log: &LogManager, ob: ObjectId, as_of: Lsn) -> Result<Reenactment>
                         invoker: txn,
                         responsible: need.txn,
                         committed_at: c,
-                        hops: hops_for(&prov, ob, txn, l, c),
+                        hops: hops_for(&fwd.prov, ob, txn, l, c),
                         trace: None,
                     }),
                     None => {
@@ -623,7 +601,7 @@ pub fn replay(log: &LogManager, ob: ObjectId, as_of: Lsn) -> Result<Reenactment>
                                 invoker: txn,
                                 responsible: need.txn,
                                 committed_at: d.prepared_at,
-                                hops: hops_for(&prov, ob, txn, l, d.prepared_at),
+                                hops: hops_for(&fwd.prov, ob, txn, l, d.prepared_at),
                                 trace: None,
                             });
                         } else {
@@ -665,26 +643,35 @@ pub enum Purpose {
     History,
 }
 
-/// The instrumented front door: [`replay`] plus `reenact.*` counters, and
-/// for [`Purpose::History`] trace stitching. Takes only the log and
-/// observability handles — both `Arc`-shared and internally synchronized
-/// — so the engine mutex is never held across a replay; the
-/// introspection server and the wire dispatch call this from captured
-/// handles.
+/// The instrumented front door: [`replay`] of `ob` on its owning `log`,
+/// in-doubt transactions settled against the coordinator decisions in
+/// `shards` (every shard's log; empty for a standalone engine, which
+/// presumes abort), plus `reenact.*` counters on `obs` and, for
+/// [`Purpose::History`], trace stitching. Takes only log and
+/// observability handles — both `Arc`-shared and internally
+/// synchronized — so the engine mutex is never held across a replay;
+/// the introspection server and the wire dispatch call this from
+/// captured handles.
 pub fn query(
     log: &LogManager,
-    obs: &rh_obs::Obs,
+    shards: &[&LogManager],
+    obs: &Obs,
     ob: ObjectId,
     as_of: Lsn,
     purpose: Purpose,
 ) -> Result<Reenactment> {
     let mut r = replay(log, ob, as_of)?;
-    obs.registry.inc(rh_obs::names::M_REENACT_QUERIES);
-    obs.registry.add(rh_obs::names::M_REENACT_RECORDS, r.records_scanned);
-    if r.seeded_from.is_some() {
-        obs.registry.inc(rh_obs::names::M_REENACT_SEEDED);
+    let in_doubt: Vec<TxnId> = r.in_doubt.iter().map(|d| d.txn).collect();
+    let decided = coord_decisions_in(shards, &in_doubt, obs);
+    for d in &mut r.in_doubt {
+        d.committed = decided.contains(&d.txn);
     }
-    obs.registry.add(rh_obs::names::M_REENACT_VERSIONS, r.versions.len() as u64);
+    obs.registry.inc(names::M_REENACT_QUERIES);
+    obs.registry.add(names::M_REENACT_RECORDS, r.records_scanned);
+    if r.seeded_from.is_some() {
+        obs.registry.inc(names::M_REENACT_SEEDED);
+    }
+    obs.registry.add(names::M_REENACT_VERSIONS, r.versions.len() as u64);
     if purpose == Purpose::History {
         let events = obs.tracer.snapshot().events;
         stitch_traces(&mut r.versions, &events);
@@ -693,6 +680,55 @@ pub fn query(
         }
     }
     Ok(r)
+}
+
+/// Looks up, in every shard's log, the coordinator decisions covering
+/// `txns`: durable-or-tail `CoordCommit` records, plus decisions carried
+/// in checkpoint snapshots (whose original records may lie behind a
+/// truncated prefix). This is the same union-of-decisions rule sharded
+/// recovery applies to in-doubt transactions, evaluated against the
+/// logs alone so reenactment never takes an engine mutex. Each
+/// transaction resolved to *committed* bumps
+/// `reenact.cross_shard_decisions` on `obs`.
+fn coord_decisions_in(logs: &[&LogManager], txns: &[TxnId], obs: &Obs) -> BTreeSet<TxnId> {
+    let mut decided = BTreeSet::new();
+    if txns.is_empty() {
+        return decided;
+    }
+    for log in logs {
+        // Best-effort per shard: a torn tail on one shard must not hide
+        // decisions readable from the others.
+        let _ = decisions_in(log, txns, &mut decided);
+    }
+    obs.registry.add(names::M_REENACT_CROSS_SHARD_DECISIONS, decided.len() as u64);
+    decided
+}
+
+/// One shard's part of [`coord_decisions_in`], through the log's index:
+/// the transactions' own records first, then — only while some remain
+/// undecided — the retained checkpoints, newest first.
+fn decisions_in(log: &LogManager, txns: &[TxnId], decided: &mut BTreeSet<TxnId>) -> Result<()> {
+    let last = log.last_lsn();
+    if last.is_null() {
+        return Ok(());
+    }
+    for l in log.txn_lsns(txns, log.first_lsn(), last)? {
+        let rec = log.read(l)?;
+        if matches!(rec.body, RecordBody::CoordCommit { .. }) {
+            decided.insert(rec.txn);
+        }
+    }
+    let mut below = last;
+    while txns.iter().any(|t| !decided.contains(t)) {
+        let Some((cl, snap)) = CheckpointSnapshot::newest_at_or_below(log, below)? else { break };
+        let carried = snap.coord_decisions.into_iter().map(|(txn, _)| txn);
+        decided.extend(carried.filter(|txn| txns.contains(txn)));
+        if cl == Lsn::FIRST {
+            break;
+        }
+        below = cl.prev();
+    }
+    Ok(())
 }
 
 /// Fills each version's `trace` from a tracer snapshot: a version is
@@ -922,9 +958,14 @@ mod tests {
         assert_eq!(r.in_doubt[0].txn, t2);
         // Presumed abort: 10. Decided commit: 77.
         assert_eq!(r.value(), 10);
-        assert_eq!(r.value_with(|t| t == t2), 77);
         assert_eq!(r.versions().len(), 1);
-        assert_eq!(r.versions_with(|t| t == t2).len(), 2);
+        let mut decided = r.clone();
+        decided.in_doubt[0].committed = true;
+        assert_eq!(decided.value(), 77);
+        assert_eq!(decided.versions().len(), 2);
+        // A lone engine's query hands no shard logs: presumed abort.
+        let q = d.reenact(A, Lsn::NULL, Purpose::Value).unwrap();
+        assert_eq!(q.value(), 10);
     }
 
     #[test]
@@ -1091,7 +1132,7 @@ mod tests {
         write(&mut d, t, A, 10);
         d.commit(t).unwrap();
         let r = replay(d.log(), A, Lsn::NULL).unwrap();
-        let j = r.to_json_range(Lsn::FIRST, r.as_of, |_| false);
+        let j = r.to_json_range(Lsn::FIRST, r.as_of);
         assert_eq!(j.get("schema").and_then(JsonValue::as_str), Some("history.v1"));
         assert_eq!(j.get("object").and_then(JsonValue::as_u64), Some(A.raw()));
         assert_eq!(j.get("value").and_then(JsonValue::as_i64), Some(10));

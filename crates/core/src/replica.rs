@@ -4,14 +4,17 @@
 //! instead of rewriting it — means the WAL is already a complete,
 //! append-only replication feed. A replica is therefore not a new kind
 //! of engine: it is the restart-recovery forward pass (§3.6.1) that
-//! never ends. Every shipped record flows through the same
-//! [`crate::recovery::forward::apply_record`] the forward pass runs, so
-//! the replica's scope tables, provenance chains, and coordinator
-//! decisions are byte-for-byte what a restart recovery of the same log
-//! prefix would build — and **promotion is recovery**: finish the
-//! forward pass (trivially — it is always finished), run the backward
-//! pass over loser-scope clusters, terminate the losers, and the engine
-//! is open for writes. No pass over the log is ever repeated.
+//! never ends. A replica core *is* recovery's between-passes state
+//! ([`Analyzed`]): every shipped record flows through the forward pass's
+//! one record interpreter, `ForwardOutcome::apply`, with the same page
+//! redo and scope narration a recovery runs, so the replica's scope
+//! tables, provenance chains, and coordinator decisions are
+//! byte-for-byte what a restart recovery of the same log prefix would
+//! build — and **promotion is recovery**: the forward pass is always
+//! finished, so promotion runs recovery's own backward tail
+//! ([`Analyzed::finish`]) — backward pass over loser-scope clusters,
+//! loser termination, log force — and the engine is open for writes. No
+//! pass over the log is ever repeated.
 //!
 //! ## Staleness contract
 //!
@@ -40,78 +43,26 @@
 //! constructor — then subscribing from its own `applied_lsn`.
 
 use crate::engine::{DbConfig, RhDb, Strategy};
-use crate::flight::FlightRecorder;
-use crate::provenance::ProvenanceTable;
-use crate::recovery::forward::{apply_record, forward_pass, ForwardStats};
-use crate::recovery::{backward, collect_walk_scopes, terminate_losers, RecoveryReport};
+use crate::recovery::forward::Redo;
+use crate::recovery::Analyzed;
 use crate::reenact::{self, Purpose, Reenactment, VersionRecord};
 use crate::sharded::{ShardMap, ShardedDb};
-use crate::txn_table::{TrList, TxnStatus};
 use parking_lot::{Condvar, Mutex};
 use rh_common::codec::Codec;
 use rh_common::ops::Value;
-use rh_common::{Lsn, ObjectId, Result, RhError, TxnId};
+use rh_common::{Lsn, ObjectId, Result, RhError};
 use rh_obs::{names, Obs, Stopwatch};
-use rh_storage::{BufferPool, Disk};
+use rh_storage::Disk;
 use rh_wal::record::LogRecord;
 use rh_wal::{LogManager, StableLog};
-use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// One shard's engine-in-forward-pass: the full forward-pass state of
-/// [`forward_pass`], kept alive between records instead of being
-/// consumed by a recovery.
-struct ReplicaCore {
-    strategy: Strategy,
-    config: DbConfig,
-    log: Arc<LogManager>,
-    disk: Arc<Disk>,
-    pool: BufferPool,
-    tr: TrList,
-    compensated: HashSet<Lsn>,
-    lazy_scopes: HashMap<(ObjectId, TxnId, Lsn), (Lsn, TxnId)>,
-    prov: ProvenanceTable,
-    coord_commits: Vec<(TxnId, Vec<u32>)>,
-    next_txn: u64,
-    stats: ForwardStats,
-    obs: Arc<Obs>,
-}
+/// One shard's engine-in-forward-pass: recovery's between-passes state,
+/// kept alive between records instead of being consumed by a recovery.
+type ReplicaCore = Analyzed;
 
 impl ReplicaCore {
-    /// Opens a core over existing stable state by running the forward
-    /// pass over whatever the local log already holds — a no-op for a
-    /// fresh replica, and exactly the resume path for a bounced one
-    /// (the shipped prefix it kept is re-analyzed, then the stream
-    /// continues from `applied_lsn`).
-    fn open(
-        strategy: Strategy,
-        config: DbConfig,
-        stable: Arc<StableLog>,
-        disk: Arc<Disk>,
-    ) -> Result<Self> {
-        let obs = Arc::new(Obs::new());
-        let log = Arc::new(LogManager::attach(stable));
-        let mut pool = BufferPool::new(Arc::clone(&disk), config.pool_pages);
-        let lazy = strategy == Strategy::LazyRewrite;
-        let fwd = forward_pass(&log, &mut pool, lazy, &obs)?;
-        Ok(ReplicaCore {
-            strategy,
-            config,
-            log,
-            disk,
-            pool,
-            tr: fwd.tr,
-            compensated: fwd.compensated,
-            lazy_scopes: fwd.lazy_scopes,
-            prov: fwd.prov,
-            coord_commits: fwd.coord_commits,
-            next_txn: fwd.next_txn,
-            stats: fwd.stats,
-            obs,
-        })
-    }
-
     /// The exclusive applied watermark: every primary record with LSN
     /// below this has been appended locally and analyzed.
     fn applied(&self) -> Lsn {
@@ -129,97 +80,30 @@ impl ReplicaCore {
         }
         let assigned = self.log.append(rec.txn, rec.prev_lsn, rec.body.clone());
         debug_assert_eq!(assigned, lsn, "local log must reproduce primary LSNs");
-        let lazy = self.strategy == Strategy::LazyRewrite;
-        apply_record(
-            &self.log,
-            &mut self.pool,
-            &mut self.tr,
-            &mut self.compensated,
-            &mut self.lazy_scopes,
-            &mut self.prov,
-            &mut self.coord_commits,
-            lazy,
-            &rec,
-            &mut self.stats,
-            &self.obs,
-            None,
-        )?;
-        if !rec.txn.is_none() {
-            self.next_txn = self.next_txn.max(rec.txn.raw() + 1);
-        }
+        let mut redo = Redo { log: &self.log, pool: &mut self.pool, obs: &self.obs, span: None };
+        self.fwd.apply(&rec, &mut redo)?;
         self.obs.registry.inc(names::M_REPL_FRAMES_APPLIED);
         Ok(self.applied())
     }
 
     /// Promotion = recovery: the forward pass is already done (it never
-    /// stopped), so run the backward pass over loser clusters, terminate
-    /// the losers, force the log, and hand back a writable engine with a
-    /// full [`RecoveryReport`] — in-doubt 2PC survivors included, so the
-    /// sharded resolver can union decisions across promoted shards
-    /// exactly as it does across recovered ones.
-    fn promote(mut self) -> Result<RhDb> {
+    /// stopped), so run recovery's backward tail and hand back a
+    /// writable engine with a full [`crate::recovery::RecoveryReport`] —
+    /// in-doubt 2PC survivors included, so the sharded resolver can
+    /// union decisions across promoted shards exactly as it does across
+    /// recovered ones. The report's `forward_wall` stays zero: the
+    /// "forward pass" of a promotion is the whole replication epoch,
+    /// already paid record by record before the promotion began.
+    fn promote(self) -> Result<RhDb> {
         let started = Stopwatch::start();
         let log_before = self.log.metrics().snapshot();
         let disk_before = self.disk.metrics().snapshot();
-        let lazy = self.strategy == Strategy::LazyRewrite;
-        let losers = self.tr.losers();
-        let scopes = collect_walk_scopes(&self.tr, &losers, lazy, &self.lazy_scopes)?;
-        let undo_started = Stopwatch::start();
-        let undo = backward::undo_scopes(
-            &self.log,
-            &mut self.pool,
-            &mut self.tr,
-            scopes,
-            &mut self.compensated,
-            lazy,
-            &self.obs,
-        )?;
-        let undo_wall = undo_started.elapsed();
-        terminate_losers(&self.log, &mut self.tr, &losers)?;
-        self.log.flush_all()?;
-        let indoubt = self.tr.with_status(TxnStatus::Prepared);
-
-        let elapsed = started.elapsed();
         let obs = Arc::clone(&self.obs);
+        let (mut db, report) = self.finish(&started, &log_before, &disk_before)?;
         obs.registry.inc(names::M_REPL_PROMOTIONS);
-        obs.registry.observe(names::M_REPL_PROMOTE_US, elapsed.as_micros() as u64);
+        obs.registry.observe(names::M_REPL_PROMOTE_US, report.elapsed.as_micros() as u64);
         obs.mark_timeseries(names::TS_REPL_PROMOTE);
-        let mut db = RhDb::from_parts(
-            self.strategy,
-            self.config,
-            Arc::clone(&self.log),
-            Arc::clone(&self.disk),
-            self.pool,
-            self.tr,
-            self.next_txn,
-            Arc::clone(&obs),
-        );
-        db.set_provenance(self.prov);
-        db.set_coord_decisions(&self.coord_commits);
-        let stable = db.log().stable();
-        if let (Some(dir), Some(io)) = (stable.dir(), stable.io()) {
-            match FlightRecorder::attach(io, dir) {
-                Ok(flight) => db.attach_flight(flight),
-                Err(_) => obs.registry.inc(names::M_BLACKBOX_ERRORS),
-            }
-        }
-        db.set_recovery_report(RecoveryReport {
-            winners_seen: self.stats.commits_seen,
-            forward: self.stats,
-            undo,
-            losers,
-            indoubt,
-            coord_commits: self.coord_commits,
-            elapsed,
-            // The "forward pass" of a promotion is the whole replication
-            // epoch — already paid, record-by-record, before the
-            // promotion began.
-            forward_wall: Duration::ZERO,
-            undo_wall,
-            log_delta: self.log.metrics().snapshot().since(&log_before),
-            disk_delta: self.disk.metrics().snapshot().since(&disk_before),
-            postmortem: None,
-        });
+        db.set_recovery_report(report);
         db.record_blackbox("promote");
         Ok(db)
     }
@@ -270,7 +154,11 @@ impl ReplicaSet {
         let map = ShardMap::new(parts.len(), shift);
         let mut shards = Vec::with_capacity(parts.len());
         for (stable, disk) in parts {
-            let core = ReplicaCore::open(strategy, config, stable, disk)?;
+            // The forward pass over what the local log already holds: a
+            // no-op for a fresh replica, and exactly the resume path for a
+            // bounced one (the shipped prefix it kept is re-analyzed, then
+            // the stream continues from `applied_lsn`).
+            let core = ReplicaCore::open(strategy, config, stable, disk, Arc::new(Obs::new()))?;
             shards.push(ReplicaShard {
                 replica: Mutex::named(ShardSlot { core: Some(core) }, names::LS_CORE_REPLICA),
                 applied_cv: Condvar::new(),
@@ -409,49 +297,36 @@ impl ReplicaSet {
     /// decisions found in any shard's local log, exactly as the sharded
     /// primary resolves them.
     pub fn read_as_of(&self, ob: ObjectId, as_of: Lsn) -> Result<Value> {
-        let (r, decided) = self.reenact(ob, as_of, Purpose::Value)?;
-        Ok(r.value_with(|t| decided.contains(&t)))
+        Ok(self.reenact(ob, as_of, Purpose::Value)?.value())
     }
 
     /// The committed version timeline of `ob` over `[from, to]`,
     /// reenacted from the replica's local log.
     pub fn history(&self, ob: ObjectId, from: Lsn, to: Lsn) -> Result<Vec<VersionRecord>> {
-        let (r, decided) = self.reenact(ob, to, Purpose::History)?;
-        Ok(r.versions_with(|t| decided.contains(&t))
-            .into_iter()
-            .filter(|v| v.lsn >= from)
-            .collect())
+        let versions = self.reenact(ob, to, Purpose::History)?.versions();
+        Ok(versions.into_iter().filter(|v| v.lsn >= from).collect())
     }
 
-    /// The full reenactment of `ob` at `as_of` plus the set of its
-    /// in-doubt transactions some shard's shipped coordinator decision
-    /// commits. Holds no shard lock across the replay — the log handles
-    /// are internally synchronized, same as the primary's reenact path.
-    pub fn reenact(
-        &self,
-        ob: ObjectId,
-        as_of: Lsn,
-        purpose: Purpose,
-    ) -> Result<(Reenactment, BTreeSet<TxnId>)> {
-        let shard = self.map.shard_of(ob);
-        let (log, obs) =
-            self.with_core(shard, |core| Ok((Arc::clone(&core.log), Arc::clone(&core.obs))))?;
-        let r = reenact::query(&log, &obs, ob, as_of, purpose)?;
-        let in_doubt: Vec<TxnId> = r.in_doubt.iter().map(|d| d.txn).collect();
+    /// The full reenactment of `ob` at `as_of`, in-doubt transactions
+    /// settled against every shard's shipped coordinator decisions.
+    /// Holds no shard lock across the replay — the log handles are
+    /// internally synchronized, same as the primary's reenact path.
+    pub fn reenact(&self, ob: ObjectId, as_of: Lsn, purpose: Purpose) -> Result<Reenactment> {
+        let owner = self.map.shard_of(ob);
+        let obs = self.with_core(owner, |core| Ok(Arc::clone(&core.obs)))?;
         let mut logs = Vec::with_capacity(self.shards.len());
         for i in 0..self.shards.len() {
             logs.push(self.with_core(i, |core| Ok(Arc::clone(&core.log)))?);
         }
-        let log_refs: Vec<&Arc<LogManager>> = logs.iter().collect();
-        let decided = crate::sharded::coord_decisions_in(&log_refs, &in_doubt, &self.obs);
-        Ok((r, decided))
+        let shards: Vec<&LogManager> = logs.iter().map(|l| &**l).collect();
+        reenact::query(shards[owner], &shards, &obs, ob, as_of, purpose)
     }
 
     /// The delegation provenance chain of `ob` as the replica's forward
     /// pass has rebuilt it — pre-crash chains render from a replica (and
     /// from the node it promotes into) without any primary.
     pub fn provenance(&self, ob: ObjectId) -> Result<Vec<crate::provenance::ProvHop>> {
-        self.with_core(self.map.shard_of(ob), |core| Ok(core.prov.chain(ob).to_vec()))
+        self.with_core(self.map.shard_of(ob), |core| Ok(core.fwd.prov.chain(ob).to_vec()))
     }
 
     /// One-stop merged metrics snapshot: set-level `repl.*` counters

@@ -6,15 +6,14 @@
 //! so no route ever waits on an engine mutex. Routes whose data lives
 //! per shard answer one entry per shard, indexed by shard.
 
-use super::{merged_stats, reenact_on, ShardMap, ShardView, ShardedDb};
+use super::{merged_stats, ShardMap, ShardView, ShardedDb};
 use crate::provenance::ProvHop;
-use crate::reenact::{Purpose, Reenactment};
-use rh_common::{Lsn, ObjectId, Result, TxnId};
+use crate::reenact::{self, Purpose, Reenactment};
+use rh_common::{Lsn, ObjectId, Result};
 use rh_obs::{
     names, promtext, HttpResponse, IntrospectionServer, JsonValue, Obs, RegistrySnapshot, Sampler,
 };
 use rh_wal::LogManager;
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// The built-in routes, in the order the index (404) page lists them.
@@ -129,14 +128,11 @@ impl Routes {
         JsonValue::Arr(self.views.iter().map(doc).collect())
     }
 
-    fn reenact(
-        &self,
-        ob: ObjectId,
-        as_of: Lsn,
-        purpose: Purpose,
-    ) -> Result<(Reenactment, BTreeSet<TxnId>)> {
-        let logs: Vec<&Arc<LogManager>> = self.views.iter().map(|v| &v.log).collect();
-        reenact_on(&self.views[self.map.shard_of(ob)], &logs, &self.router, ob, as_of, purpose)
+    /// [`ShardedDb::reenact`] over the captured handles.
+    fn reenact(&self, ob: ObjectId, as_of: Lsn, purpose: Purpose) -> Result<Reenactment> {
+        let owner = &self.views[self.map.shard_of(ob)];
+        let logs: Vec<&LogManager> = self.views.iter().map(|v| &*v.log).collect();
+        reenact::query(&owner.log, &logs, &owner.obs, ob, as_of, purpose)
     }
 
     fn answer(&self, path: &str) -> Option<HttpResponse> {
@@ -193,24 +189,7 @@ impl Routes {
             );
         };
         match self.reenact(ObjectId(ob), lsn, Purpose::Value) {
-            Ok((r, decided)) => HttpResponse::Json(JsonValue::obj(vec![
-                ("object", JsonValue::U64(ob)),
-                ("as_of", JsonValue::U64(r.as_of.raw())),
-                ("value", JsonValue::I64(r.value_with(|t| decided.contains(&t)))),
-                (
-                    "seeded_from",
-                    match r.seeded_from {
-                        Some(l) => JsonValue::U64(l.raw()),
-                        None => JsonValue::Null,
-                    },
-                ),
-                (
-                    "in_doubt",
-                    JsonValue::Arr(
-                        r.in_doubt.iter().map(|d| JsonValue::U64(d.txn.raw())).collect(),
-                    ),
-                ),
-            ])),
+            Ok(r) => HttpResponse::Json(r.asof_json()),
             Err(e) => HttpResponse::bad_request(e.to_string()),
         }
     }
@@ -222,9 +201,7 @@ impl Routes {
             return HttpResponse::bad_request("object id must be numeric");
         };
         match self.reenact(ObjectId(ob), Lsn::NULL, Purpose::History) {
-            Ok((r, decided)) => {
-                HttpResponse::Json(r.to_json_range(Lsn::FIRST, r.as_of, |t| decided.contains(&t)))
-            }
+            Ok(r) => HttpResponse::Json(r.to_json_range(Lsn::FIRST, r.as_of)),
             Err(e) => HttpResponse::bad_request(e.to_string()),
         }
     }

@@ -57,7 +57,6 @@ use crate::provenance::{ProvHop, ProvenanceTable};
 use crate::recovery::RecoveryReport;
 use crate::reenact::{self, Purpose, Reenactment, VersionRecord};
 use parking_lot::Mutex;
-use rh_common::codec::Codec;
 use rh_common::ops::Value;
 use rh_common::{Lsn, ObjectId, Result, RhError, TxnId};
 use rh_lock::LockManager;
@@ -202,23 +201,6 @@ fn merged_stats<'a>(router: &Obs, views: impl Iterator<Item = &'a ShardView>) ->
         merged.merge_sum(&v.absorbed());
     }
     merged
-}
-
-/// Reenacts `ob` at `as_of` on its owning shard's log (`owner`) and
-/// stitches the in-doubt outcomes from the coordinator decisions in
-/// every shard's log. Takes no engine mutex.
-fn reenact_on(
-    owner: &ShardView,
-    logs: &[&Arc<LogManager>],
-    router: &Obs,
-    ob: ObjectId,
-    as_of: Lsn,
-    purpose: Purpose,
-) -> Result<(Reenactment, BTreeSet<TxnId>)> {
-    let r = reenact::query(&owner.log, &owner.obs, ob, as_of, purpose)?;
-    let in_doubt: Vec<TxnId> = r.in_doubt.iter().map(|d| d.txn).collect();
-    let decided = coord_decisions_in(logs, &in_doubt, router);
-    Ok((r, decided))
 }
 
 /// Router-side state of one global transaction.
@@ -1062,33 +1044,24 @@ impl ShardedDb {
     /// checkpoint-carried decision) holds its `CoordCommit` record,
     /// exactly the rule crash recovery applies.
     pub fn read_as_of(&self, ob: ObjectId, as_of: Lsn) -> Result<Value> {
-        let (r, decided) = self.reenact(ob, as_of, Purpose::Value)?;
-        Ok(r.value_with(|t| decided.contains(&t)))
+        Ok(self.reenact(ob, as_of, Purpose::Value)?.value())
     }
 
     /// The committed version timeline of `ob` with update LSNs in
     /// `[from, to]` on its owning shard, cross-shard in-doubt
     /// transactions resolved as in [`ShardedDb::read_as_of`].
     pub fn history(&self, ob: ObjectId, from: Lsn, to: Lsn) -> Result<Vec<VersionRecord>> {
-        let (r, decided) = self.reenact(ob, to, Purpose::History)?;
-        Ok(r.versions_with(|t| decided.contains(&t))
-            .into_iter()
-            .filter(|v| v.lsn >= from)
-            .collect())
+        let versions = self.reenact(ob, to, Purpose::History)?.versions();
+        Ok(versions.into_iter().filter(|v| v.lsn >= from).collect())
     }
 
-    /// The full reenactment of `ob` at `as_of` on its owning shard, plus
-    /// the set of its in-doubt transactions that some shard's durable
-    /// coordinator decision commits (empty when nothing was in doubt).
-    pub fn reenact(
-        &self,
-        ob: ObjectId,
-        as_of: Lsn,
-        purpose: Purpose,
-    ) -> Result<(Reenactment, BTreeSet<TxnId>)> {
+    /// The full reenactment of `ob` at `as_of` on its owning shard, its
+    /// in-doubt transactions settled against every shard's durable
+    /// coordinator decisions.
+    pub fn reenact(&self, ob: ObjectId, as_of: Lsn, purpose: Purpose) -> Result<Reenactment> {
         let owner = &self.shards[self.map.shard_of(ob)].view;
-        let logs: Vec<&Arc<LogManager>> = self.shards.iter().map(|c| &c.view.log).collect();
-        reenact_on(owner, &logs, &self.obs, ob, as_of, purpose)
+        let logs: Vec<&LogManager> = self.shards.iter().map(|c| &*c.view.log).collect();
+        reenact::query(&owner.log, &logs, &owner.obs, ob, as_of, purpose)
     }
 
     // ---- crash ---------------------------------------------------------
@@ -1100,63 +1073,6 @@ impl ShardedDb {
         self.stop_introspection();
         self.shards.into_iter().map(|cell| cell.engine.into_inner().crash()).collect()
     }
-}
-
-/// Looks up, in every shard's log, the coordinator decisions covering
-/// `txns`: durable-or-tail `CoordCommit` records, plus decisions carried
-/// in checkpoint snapshots (whose original records may lie behind a
-/// truncated prefix). This is the same union-of-decisions rule
-/// [`ShardedDb::recover`] applies to in-doubt transactions, evaluated
-/// against the logs alone so reenactment never takes an engine mutex.
-/// Each transaction resolved to *committed* bumps
-/// `reenact.cross_shard_decisions` on `obs`.
-pub(crate) fn coord_decisions_in(
-    logs: &[&Arc<LogManager>],
-    txns: &[TxnId],
-    obs: &Obs,
-) -> BTreeSet<TxnId> {
-    let mut decided = BTreeSet::new();
-    if txns.is_empty() {
-        return decided;
-    }
-    for log in logs {
-        // Best-effort per shard: a torn tail on one shard must not hide
-        // decisions readable from the others.
-        let _ = decisions_in(log, txns, &mut decided);
-    }
-    obs.registry.add(names::M_REENACT_CROSS_SHARD_DECISIONS, decided.len() as u64);
-    decided
-}
-
-/// One shard's part of [`coord_decisions_in`], through the log's index:
-/// the transactions' own records first, then — only while some remain
-/// undecided — the retained checkpoints, newest first.
-fn decisions_in(log: &LogManager, txns: &[TxnId], decided: &mut BTreeSet<TxnId>) -> Result<()> {
-    let last = log.last_lsn();
-    if last.is_null() {
-        return Ok(());
-    }
-    for l in log.txn_lsns(txns, log.first_lsn(), last)? {
-        let rec = log.read(l)?;
-        if matches!(rec.body, rh_wal::record::RecordBody::CoordCommit { .. }) {
-            decided.insert(rec.txn);
-        }
-    }
-    let mut below = last;
-    while txns.iter().any(|t| !decided.contains(t)) {
-        let Some(cl) = log.checkpoint_at_or_below(below)? else { break };
-        if let rh_wal::record::RecordBody::CheckpointEnd { payload } = log.read(cl)?.body {
-            if let Ok(snap) = crate::checkpoint::CheckpointSnapshot::from_bytes(&payload) {
-                let carried = snap.coord_decisions.into_iter().map(|(txn, _)| txn);
-                decided.extend(carried.filter(|txn| txns.contains(txn)));
-            }
-        }
-        if cl == Lsn::FIRST {
-            break;
-        }
-        below = cl.prev();
-    }
-    Ok(())
 }
 
 /// Adopts a lone engine as a one-shard database: the shape every

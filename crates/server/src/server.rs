@@ -247,11 +247,11 @@ impl Backend {
     /// JSON document. Same no-engine-mutex property as
     /// [`Backend::read_as_of`].
     pub(crate) fn history_json(&self, ob: ObjectId, from: Lsn, to: Lsn) -> Result<String> {
-        let (r, decided) = match self {
+        let r = match self {
             Backend::Primary(db) => db.reenact(ob, to, Purpose::History)?,
             Backend::Replica(set) => set.reenact(ob, to, Purpose::History)?,
         };
-        Ok(r.to_json_range(from, r.as_of, |t| decided.contains(&t)).render_pretty())
+        Ok(r.to_json_range(from, r.as_of).render_pretty())
     }
 
     pub(crate) fn checkpoint(&self) -> Result<()> {
