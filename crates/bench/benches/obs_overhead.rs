@@ -8,9 +8,10 @@
 //!   disabled arm is the "no-op" bar every engine operation pays when
 //!   tracing is off.
 //! * **flight recorder** — the E1-style zero-delegation workload on a
-//!   file-backed engine with the black-box recorder attached (freezing a
-//!   record every `COMMIT_PERIOD` commits) vs detached. This is the
-//!   whole-system overhead of `obs/` sidecar persistence.
+//!   file-backed engine with the black-box recorder attached vs
+//!   detached. Boxes are frozen on a server's cadence thread and at
+//!   checkpoints, never on the commit path, so the two arms should
+//!   match; `rh-bench --check-baselines` gates the pair ≤ 1.05×.
 //! * **2PC tracing** — a run of cross-shard commits on a two-shard
 //!   in-memory router with the phase tracers enabled (every commit
 //!   carries a trace id; each 2PC edge lands in a shard ring) vs

@@ -34,7 +34,11 @@
 //! (`workload_witness_on` vs `workload_witness_off`, the E1-style
 //! file-backed workload) get the same treatment: the witnessed run must
 //! land within 1.10× of the witness-off run, whose per-acquisition cost
-//! is one relaxed atomic load.
+//! is one relaxed atomic load. The flight-recorder rows
+//! (`workload_flight_attached` vs `workload_flight_detached`, the same
+//! workload) get a 1.05× bar measured the same way: the recorder freezes
+//! boxes on a server's cadence thread and at checkpoints, never on the
+//! commit path, so attaching it must cost the workload nothing.
 //!
 //! `--measure NAME` runs one row's workload and prints the freshly
 //! measured row, for regenerating baselines.
@@ -58,6 +62,10 @@ const TRACING_OVERHEAD_CEILING: f64 = 1.10;
 /// witness-off arm is the production configuration: one relaxed atomic
 /// load per acquisition (`parking_lot::witness::enabled`).
 const WITNESS_OVERHEAD_CEILING: f64 = 1.10;
+/// The same file-backed workload with the flight recorder attached may
+/// cost at most this multiple of the detached run measured in the same
+/// process.
+const FLIGHT_OVERHEAD_CEILING: f64 = 1.05;
 /// Cycles per serving point when re-measuring (median taken).
 const SERVE_ITERS: usize = 3;
 
@@ -252,70 +260,90 @@ fn obs_sharded_2pc_ns(traced: bool) -> u64 {
     })
 }
 
-/// The E1-style file-backed workload timed with the lock-witness off
-/// and on, as `(off_ns, on_ns)` — matching the `obs_overhead` bench's
-/// export. The arms are measured as *interleaved pairs* with the min
-/// taken per arm: pairing cancels machine drift between the arms, and
-/// the min sheds fsync stalls — both would otherwise dominate the
-/// ≤1.10× ratio on a loaded runner. The flight recorder stays attached
-/// in both arms (the production configuration), so the delta is the
-/// witness alone; the off arm pays one relaxed atomic load per
-/// acquisition. Cached: both rows and the overhead bar read one pass.
-fn obs_witness_workload_pair_ns() -> (u64, u64, u64) {
+/// One timed run of the E1-style file-backed workload on a fresh engine
+/// (`flight` attaches the flight recorder), nanoseconds.
+fn e1_file_workload_ns(tag: &str, flight: bool) -> u64 {
     use rh_core::engine::{DbConfig, RhDb, Strategy};
     use rh_core::history::replay_engine;
     use rh_wal::StableLog;
     use rh_workload::{boring, WorkloadSpec};
+    static RUN: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+    let spec = WorkloadSpec {
+        txns: 200,
+        updates_per_txn: 4,
+        straggler_rate: 0.05,
+        ..WorkloadSpec::default()
+    };
+    let events = boring(&spec);
+    let n = RUN.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("rh-bench-gate-{tag}-{}-{n}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let sw = Stopwatch::start();
+    let stable = StableLog::open_dir(&dir).expect("gate log dir");
+    let mut db = RhDb::with_stable_log(Strategy::Rh, DbConfig::default(), stable);
+    if !flight {
+        db.disable_flight_recorder();
+    }
+    let db = replay_engine(db, &events).expect("gate replay");
+    drop(db);
+    let ns = sw.elapsed().as_nanos() as u64;
+    let _ = std::fs::remove_dir_all(&dir);
+    ns
+}
+
+/// Times `once(false)` against `once(true)` as 15 *interleaved pairs*
+/// (after one warmup), returning `(off_ns, on_ns, ratio × 1000)`: the min
+/// per arm, and the median of the per-pair `on / off` ratios. Pairing
+/// cancels machine drift between the arms; the two runs of a pair share
+/// the machine's mood, so their ratio isolates the difference, and the
+/// median sheds an fsync stall landing in one arm of one pair — either
+/// would otherwise dominate a ≤1.10× bar on a loaded runner. The bar is
+/// NOT the ratio of the mins, which a stall dodged by one arm would
+/// decide.
+fn interleaved_pairs(mut once: impl FnMut(bool) -> u64) -> (u64, u64, u64) {
+    once(false); // warmup
+    let (mut off, mut on) = (u64::MAX, u64::MAX);
+    let mut ratios = Vec::new();
+    for i in 0..15 {
+        // Alternate which arm goes first.
+        let (o, w) = if i % 2 == 0 {
+            (once(false), once(true))
+        } else {
+            let w = once(true);
+            (once(false), w)
+        };
+        off = off.min(o);
+        on = on.min(w);
+        ratios.push(w as f64 / o as f64);
+    }
+    ratios.sort_by(|a, b| a.partial_cmp(b).expect("finite ratios"));
+    let median = ratios[ratios.len() / 2];
+    (off, on, (median * 1000.0) as u64)
+}
+
+/// The E1-style file-backed workload timed with the lock-witness off
+/// and on, as `(off_ns, on_ns, ratio × 1000)` — matching the
+/// `obs_overhead` bench's export. The flight recorder stays attached in
+/// both arms (the production configuration), so the delta is the witness
+/// alone; the off arm pays one relaxed atomic load per acquisition.
+/// Cached: both rows and the overhead bar read one pass.
+fn obs_witness_workload_pair_ns() -> (u64, u64, u64) {
     static PAIR: std::sync::OnceLock<(u64, u64, u64)> = std::sync::OnceLock::new();
     *PAIR.get_or_init(|| {
-        let spec = WorkloadSpec {
-            txns: 200,
-            updates_per_txn: 4,
-            straggler_rate: 0.05,
-            ..WorkloadSpec::default()
-        };
-        let events = boring(&spec);
-        let mut n = 0u64;
-        let mut once = |on: bool| {
-            n += 1;
+        interleaved_pairs(|on| {
             parking_lot::witness::set_enabled(on);
-            let dir = std::env::temp_dir()
-                .join(format!("rh-bench-gate-witness-{}-{n}", std::process::id()));
-            let _ = std::fs::remove_dir_all(&dir);
-            let sw = Stopwatch::start();
-            let stable = StableLog::open_dir(&dir).expect("gate log dir");
-            let db = RhDb::with_stable_log(Strategy::Rh, DbConfig::default(), stable);
-            let db = replay_engine(db, &events).expect("gate replay");
-            drop(db);
-            let ns = sw.elapsed().as_nanos() as u64;
+            let ns = e1_file_workload_ns("witness", true);
             parking_lot::witness::set_enabled(false);
-            let _ = std::fs::remove_dir_all(&dir);
             ns
-        };
-        once(false); // warmup
-                     // 15 pairs, alternating which arm goes first. Row values are the
-                     // min per arm (the stall-free floor). The bar is NOT the ratio of
-                     // those mins — an fsync stall dodged by one arm but not the other
-                     // would decide it — but the median of the per-pair ratios: the
-                     // two runs of a pair share the machine's mood, so their ratio
-                     // isolates the witness, and the median sheds outlier pairs.
-        let (mut off, mut on) = (u64::MAX, u64::MAX);
-        let mut ratios = Vec::new();
-        for i in 0..15 {
-            let (o, w) = if i % 2 == 0 {
-                (once(false), once(true))
-            } else {
-                let w = once(true);
-                (once(false), w)
-            };
-            off = off.min(o);
-            on = on.min(w);
-            ratios.push(w as f64 / o as f64);
-        }
-        ratios.sort_by(|a, b| a.partial_cmp(b).expect("finite ratios"));
-        let median = ratios[ratios.len() / 2];
-        (off, on, (median * 1000.0) as u64)
+        })
     })
+}
+
+/// The same workload with the flight recorder detached and attached, as
+/// `(detached_ns, attached_ns, ratio × 1000)`, for the ≤1.05× bar.
+fn obs_flight_workload_pair_ns() -> (u64, u64, u64) {
+    static PAIR: std::sync::OnceLock<(u64, u64, u64)> = std::sync::OnceLock::new();
+    *PAIR.get_or_init(|| interleaved_pairs(|on| e1_file_workload_ns("flight", on)))
 }
 
 /// Median over `iters` timed calls (one untimed warmup), nanoseconds.
@@ -411,6 +439,19 @@ fn check_baselines(tolerance: f64) -> ! {
             bar = format!(
                 " (overhead bar: <= {ceiling} = {TRACING_OVERHEAD_CEILING}x untraced measured \
                  {untraced}, ratio {ratio:.3}x)"
+            );
+        }
+        if name == "workload_flight_attached" {
+            // Same-run paired comparison against the detached arm, gated
+            // on the median per-pair ratio like the witness bar below.
+            let (detached, _, ratio_milli) = obs_flight_workload_pair_ns();
+            let ratio = ratio_milli as f64 / 1000.0;
+            if ratio > FLIGHT_OVERHEAD_CEILING {
+                ok = false;
+            }
+            bar = format!(
+                " (overhead bar: median paired ratio {ratio:.3}x <= \
+                 {FLIGHT_OVERHEAD_CEILING}x; detached floor {detached})"
             );
         }
         if name == "workload_witness_on" {

@@ -2,26 +2,29 @@
 //! a human-readable report.
 //!
 //! ```text
-//! rh-postmortem <log-dir | obs-dir> [artifact.json]
+//! rh-postmortem <log-dir> [artifact.json]
 //! ```
 //!
-//! The first argument is either a log directory (the tool looks for the
-//! flight recorder's `obs/` subdirectory next to the segments) or the
-//! `obs/` directory itself. The tool lists every retained black-box
-//! record, then expands the newest one: counters at freeze time, the
-//! recovery timeline (per-pass wall clocks, cluster/gap sweep map), and
-//! the final trace spans — exactly what the next incarnation's
-//! `RecoveryReport::postmortem` diffs against.
+//! The flight recorder's black boxes ride the write-ahead log as
+//! `BlackBox` records, so the argument is a log directory (one shard's,
+//! for a sharded server). The tool reads the segment files without
+//! opening the log — nothing is created or repaired, so a live server's
+//! directory is safe — lists every box the log retains, then expands the
+//! newest one: counters at freeze time, the recovery timeline (per-pass
+//! wall clocks, cluster/gap sweep map), and the final trace spans —
+//! exactly what the next incarnation's `RecoveryReport::postmortem`
+//! diffs against.
 //!
 //! With an optional artifact JSON (as written by `rh-obs` exports or the
 //! bench harness), its `postmortem` and `provenance` sections are
 //! rendered too.
 //!
-//! Exits nonzero when the directory is missing or holds zero records —
-//! CI uses that as "the black box must survive a crash" gate.
+//! Exits nonzero when the directory cannot be read or its log holds no
+//! black box — CI uses that as "the black box must survive a crash"
+//! gate.
 
+use rh_core::flight::boxes_in_dir;
 use rh_obs::{names, BlackBoxRecord, JsonValue};
-use rh_wal::sidecar::SidecarLog;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -31,41 +34,29 @@ fn main() -> ExitCode {
         [dir] => (PathBuf::from(dir), None),
         [dir, artifact] => (PathBuf::from(dir), Some(PathBuf::from(artifact))),
         _ => {
-            eprintln!("usage: rh-postmortem <log-dir | obs-dir> [artifact.json]");
+            eprintln!("usage: rh-postmortem <log-dir> [artifact.json]");
             return ExitCode::from(2);
         }
     };
 
-    let obs_dir = resolve_obs_dir(&dir);
-    if !obs_dir.is_dir() {
-        eprintln!("rh-postmortem: no flight-recorder stream at {}", obs_dir.display());
-        return ExitCode::FAILURE;
-    }
-    let sidecar = match SidecarLog::open(obs_dir.clone()) {
-        Ok(s) => s,
+    let records = match boxes_in_dir(&dir) {
+        Ok(records) => records,
         Err(e) => {
-            eprintln!("rh-postmortem: cannot open {}: {e}", obs_dir.display());
+            eprintln!("rh-postmortem: cannot read log directory {}: {e}", dir.display());
             return ExitCode::FAILURE;
         }
     };
-    let records = load_records(&sidecar);
-    if records.is_empty() {
-        eprintln!("rh-postmortem: {} holds zero black-box records", obs_dir.display());
+    let Some(last) = records.last() else {
+        eprintln!("rh-postmortem: the log in {} holds zero black boxes", dir.display());
         return ExitCode::FAILURE;
-    }
+    };
 
-    let horizon = sidecar.next_seq();
-    println!("black box: {}", obs_dir.display());
-    println!(
-        "records retained: {} (stream positions {}..{})",
-        records.len(),
-        horizon - sidecar.len(),
-        horizon,
-    );
+    println!("black box: {}", dir.display());
+    println!("boxes retained: {} (log LSNs {}..={})", records.len(), records[0].seq, last.seq);
     println!();
     for rec in &records {
         println!(
-            "  #{:<4} +{:>10.3}s  {:<16} events={:<5} dropped={}",
+            "  #{:<6} +{:>10.3}s  {:<16} events={:<5} dropped={}",
             rec.seq,
             rec.at_us as f64 / 1e6,
             rec.reason,
@@ -74,9 +65,8 @@ fn main() -> ExitCode {
         );
     }
 
-    let last = records.last().expect("nonempty");
     println!();
-    println!("== newest record: #{} ({}) ==", last.seq, last.reason);
+    println!("== newest box: #{} ({}) ==", last.seq, last.reason);
     render_counters(last);
     render_recovery_timeline(last);
     render_sweep_map(last);
@@ -88,26 +78,6 @@ fn main() -> ExitCode {
         }
     }
     ExitCode::SUCCESS
-}
-
-/// A log directory with an `obs/` subdirectory resolves to that
-/// subdirectory; anything else is taken as the stream directory itself.
-fn resolve_obs_dir(dir: &Path) -> PathBuf {
-    let nested = SidecarLog::dir_for(dir);
-    if nested.is_dir() {
-        nested
-    } else {
-        dir.to_path_buf()
-    }
-}
-
-fn load_records(sidecar: &SidecarLog) -> Vec<BlackBoxRecord> {
-    let horizon = sidecar.next_seq();
-    let base = horizon.saturating_sub(sidecar.len());
-    (base..horizon)
-        .filter_map(|seq| sidecar.read(seq).ok())
-        .filter_map(|payload| BlackBoxRecord::parse(&payload))
-        .collect()
 }
 
 fn trace_dropped(rec: &BlackBoxRecord) -> u64 {
@@ -241,7 +211,7 @@ fn render_artifact(path: &Path) -> Result<(), ExitCode> {
                 pred.and_then(|p| p.get("reason")).and_then(JsonValue::as_str).unwrap_or("unknown");
             let seq =
                 pred.and_then(|p| p.get("seq")).and_then(JsonValue::as_u64).unwrap_or_default();
-            println!("  postmortem: predecessor record #{seq} ({reason})");
+            println!("  postmortem: predecessor box #{seq} ({reason})");
             if let Some(JsonValue::Obj(delta)) = pm.get("delta") {
                 let mut nonzero: Vec<(&String, i64)> = delta
                     .iter()

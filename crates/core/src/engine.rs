@@ -92,8 +92,9 @@ pub struct RhDb {
     /// router's introspection thread.
     postmortem: Arc<Mutex<Option<JsonValue>>>,
     /// The black-box recorder; `None` for mem-backed logs or when
-    /// explicitly disabled.
-    flight: Option<FlightRecorder>,
+    /// explicitly disabled. Shared with the sharded router, whose
+    /// cadence freezes boxes without the engine mutex.
+    flight: Option<Arc<FlightRecorder>>,
 }
 
 impl RhDb {
@@ -117,10 +118,8 @@ impl RhDb {
     /// configuration the crash-injection tests exercise. For an existing
     /// log directory, open it and run [`RhDb::recover`] instead.
     ///
-    /// A file-backed log automatically gets a flight recorder in its
-    /// `obs/` subdirectory (sharing the log's I/O layer, so crash
-    /// injection covers the black box too); attach failures degrade to
-    /// "no recorder" with a `blackbox.errors` bump.
+    /// A file-backed log automatically gets a flight recorder, whose
+    /// black boxes ride the log itself.
     pub fn with_stable_log(strategy: Strategy, config: DbConfig, stable: Arc<StableLog>) -> Self {
         let disk = Disk::new();
         let log = Arc::new(LogManager::attach(stable));
@@ -177,17 +176,12 @@ impl RhDb {
         *self.postmortem.lock() = Some(pm);
     }
 
-    /// Arms a flight recorder in the `obs/` subdirectory of a file-backed
-    /// log, through the log's own I/O layer (a fresh engine at birth, a
-    /// recovered or promoted one once its log is whole again). Attach
-    /// failures — e.g. on already-crashed fault-injected I/O — degrade to
-    /// "no recorder" with a `blackbox.errors` bump.
+    /// Arms a flight recorder when the log is file-backed (a fresh
+    /// engine at birth, a recovered or promoted one once its log is whole
+    /// again); in-memory logs never carry black boxes.
     pub(crate) fn attach_flight_recorder(&mut self) {
-        let stable = self.log.stable();
-        let (Some(dir), Some(io)) = (stable.dir(), stable.io()) else { return };
-        match FlightRecorder::attach(io, dir) {
-            Ok(flight) => self.flight = Some(flight),
-            Err(_) => self.obs.registry.inc(names::M_BLACKBOX_ERRORS),
+        if self.log.stable().is_file_backed() {
+            self.flight = Some(Arc::default());
         }
     }
 
@@ -224,6 +218,12 @@ impl RhDb {
     /// `/postmortem` route without the engine mutex).
     pub(crate) fn postmortem_handle(&self) -> Arc<Mutex<Option<JsonValue>>> {
         Arc::clone(&self.postmortem)
+    }
+
+    /// The flight-recorder handle (the sharded router freezes boxes
+    /// through it without the engine mutex).
+    pub(crate) fn flight_handle(&self) -> Option<Arc<FlightRecorder>> {
+        self.flight.clone()
     }
 
     /// The engine's tuning.
@@ -335,17 +335,21 @@ impl RhDb {
         self.postmortem.lock().clone()
     }
 
-    /// Explicitly freezes a black-box record now (the commit cadence and
-    /// checkpoints also do this automatically). `reason` tags the record.
-    /// Returns false when no flight recorder is attached or the append
-    /// failed (failures are counted under `blackbox.errors`, never
-    /// raised).
+    /// Explicitly freezes a black box now and forces the log through it
+    /// (checkpoints, recovery and a server's cadence also freeze boxes).
+    /// `reason` tags the box. Returns false when no flight recorder is
+    /// attached or the force failed (failures are counted under
+    /// `blackbox.errors`, never raised).
     pub fn record_blackbox(&self, reason: &str) -> bool {
-        let Some(flight) = &self.flight else { return false };
-        // Absorb log/disk/lock counters first so the frozen registry is
-        // the same "one-stop" view `stats()` serves.
-        let _ = self.stats();
-        flight.record(reason, &self.obs)
+        self.freeze_blackbox(reason)
+            .is_some_and(|lsn| FlightRecorder::force(&self.log, lsn, &self.obs))
+    }
+
+    /// Appends a black box of this engine's one-stop stats view, unforced
+    /// (it rides the next flush). `None` without a flight recorder.
+    pub(crate) fn freeze_blackbox(&self, reason: &str) -> Option<Lsn> {
+        let flight = self.flight.as_ref()?;
+        Some(flight.append(&self.log, reason, &self.stats(), &self.obs))
     }
 
     /// Detaches the flight recorder (the `obs_overhead` bench measures
@@ -629,10 +633,15 @@ impl RhDb {
             begin,
             RecordBody::CheckpointEnd { payload: snap.to_bytes() },
         );
+        // A checkpoint is a crash-adjacent moment worth remembering: a
+        // recovery starting here sees the black box frozen at exactly the
+        // state it restores. The box follows `CheckpointEnd` under the
+        // same force, so no truncation point can ever pass it.
+        let forced = self.freeze_blackbox("checkpoint").unwrap_or(end);
         // Master only moves after the checkpoint is durable (see
         // StableLog::set_master docs).
         let log_before = self.log.metrics().snapshot();
-        self.log.flush_to(end)?;
+        self.log.flush_to(forced)?;
         let flushed_recs =
             self.log.metrics().snapshot().records_flushed - log_before.records_flushed;
         span.point(
@@ -643,13 +652,6 @@ impl RhDb {
             flushed_recs,
         );
         self.log.stable().set_master(begin)?;
-        // A checkpoint is a crash-adjacent moment worth remembering: a
-        // recovery starting here sees the black box frozen at exactly
-        // the state it restores.
-        if let Some(flight) = &self.flight {
-            let _ = self.stats();
-            flight.record("checkpoint", &self.obs);
-        }
         Ok(())
     }
 
@@ -725,10 +727,6 @@ impl RhDb {
         let lsn = self.log_for_txn(txn, RecordBody::Commit)?;
         self.tr.get_mut(txn)?.status = TxnStatus::Committed;
         self.end_txn(txn)?;
-        // Flight-recorder cadence: freeze a black box every N commits.
-        if self.flight.as_ref().is_some_and(FlightRecorder::commit_due) {
-            self.record_blackbox("commit-cadence");
-        }
         Ok(lsn)
     }
 
@@ -781,19 +779,26 @@ impl RhDb {
     /// once durable, the forward pass replays `CoordCommit` straight to
     /// [`TxnStatus::Committed`]. Skipping the Prepare saves one forced
     /// fsync per cross-shard transaction.
-    pub fn append_coord_commit(&mut self, txn: TxnId, participants: &[u32]) -> Result<Lsn> {
-        self.tr.require_active(txn)?;
-        let lsn =
-            self.log_for_txn(txn, RecordBody::CoordCommit { participants: participants.to_vec() })?;
+    ///
+    /// An error says whether the decision record was appended before the
+    /// failure: once appended it may still become durable through a later
+    /// flush, so the caller must not unwind the participants.
+    pub fn append_coord_commit(
+        &mut self,
+        txn: TxnId,
+        participants: &[u32],
+    ) -> std::result::Result<Lsn, (RhError, bool)> {
+        let prev =
+            self.tr.require_active(txn).and_then(|_| self.tr.bc(txn)).map_err(|e| (e, false))?;
+        let body = RecordBody::CoordCommit { participants: participants.to_vec() };
+        let lsn = self.log.append(txn, prev, body);
         // The decision outlives this transaction locally: until every
         // participant's Commit record is durable, checkpoints must keep
         // carrying it (the anchor can advance past the record itself).
         self.coord_decisions.insert(txn, participants.to_vec());
-        self.tr.get_mut(txn)?.status = TxnStatus::Committed;
-        self.end_txn(txn)?;
-        if self.flight.as_ref().is_some_and(FlightRecorder::commit_due) {
-            self.record_blackbox("commit-cadence");
-        }
+        self.tr.set_bc(txn, lsn).map_err(|e| (e, true))?;
+        self.tr.get_mut(txn).map_err(|e| (e, true))?.status = TxnStatus::Committed;
+        self.end_txn(txn).map_err(|e| (e, true))?;
         Ok(lsn)
     }
 
@@ -810,9 +815,6 @@ impl RhDb {
             let lsn = self.log_for_txn(txn, RecordBody::Commit)?;
             self.tr.get_mut(txn)?.status = TxnStatus::Committed;
             self.end_txn(txn)?;
-            if self.flight.as_ref().is_some_and(FlightRecorder::commit_due) {
-                self.record_blackbox("commit-cadence");
-            }
             Ok(lsn)
         } else {
             self.tr.get_mut(txn)?.status = TxnStatus::Active;

@@ -1,106 +1,159 @@
-//! The flight recorder: periodic black-box snapshots to a durable
-//! sidecar stream.
+//! The flight recorder: black boxes frozen into the write-ahead log.
 //!
-//! A [`FlightRecorder`] freezes the engine's observability context —
-//! metric registry plus the tail of the trace ring — into
-//! `rh_obs::blackbox` records and persists them through an `rh-wal`
-//! [`SidecarLog`] (CRC-framed, fsynced, torn-tail-truncating) living in
-//! an `obs/` subdirectory next to the log. After a crash, the *next*
-//! incarnation's recovery reads the predecessor's last record and diffs
-//! it against its own post-recovery state (the `postmortem` section of
-//! [`crate::recovery::RecoveryReport`]).
+//! A [`FlightRecorder`] freezes an observability context — a metric
+//! snapshot, the tail of the trace ring and the slow-op log — into an
+//! `rh_obs::blackbox` record and appends it to the engine's own log as a
+//! non-transactional [`RecordBody::BlackBox`] record. A box is not forced
+//! on its own account: it rides the next group-commit flush. After a
+//! crash, the next incarnation's forward pass keeps the newest box it
+//! passes and recovery diffs it against its own post-recovery state (the
+//! `postmortem` section of [`crate::recovery::RecoveryReport`]). A read
+//! replica receives the boxes with the rest of the log, so a promoted
+//! replica explains the primary it replaced.
+//!
+//! Boxes are frozen at checkpoints, at the end of recovery and
+//! promotion, on explicit [`crate::RhDb::record_blackbox`] calls, and —
+//! while a server runs — by [`FlightRecorder::tick`] on the one-second
+//! [`CADENCE`], from a thread that holds no engine mutex. Only
+//! file-backed logs carry boxes, so in-memory logs read exactly as the
+//! paper's.
 //!
 //! Everything here is **best-effort by construction**: a black box must
-//! never take the plane down. Append failures (including simulated
-//! crashes from `FaultIo` — the recorder shares the main log's I/O
-//! layer, so crash injection covers both streams) only bump
+//! never take the plane down. A failed force only bumps
 //! `blackbox.errors`; no error ever propagates into the engine.
 
-use rh_obs::{blackbox, names, Obs, Stopwatch};
-use rh_wal::sidecar::SidecarLog;
-use rh_wal::WalIo;
+use rh_common::codec::Codec;
+use rh_common::{Lsn, TxnId};
+use rh_obs::{blackbox, names, BlackBoxRecord, Obs, RegistrySnapshot, Stopwatch};
+use rh_wal::record::{LogRecord, RecordBody};
+use rh_wal::{frame, segment, LogManager};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::time::Duration;
 
-/// A black box is recorded every this-many commits (plus on every
-/// checkpoint, recovery, and explicit [`crate::RhDb::record_blackbox`]).
-pub const COMMIT_PERIOD: u64 = 32;
+/// The served cadence: each shard whose log grew freezes one box per
+/// period.
+pub const CADENCE: Duration = Duration::from_secs(1);
 
-/// At most this many trailing trace events are frozen per record — the
-/// full default ring (65k events) would make records megabytes large,
-/// and a postmortem replays only the final spans anyway.
-pub const BLACKBOX_TRACE_EVENTS: usize = 512;
+/// At most this many trailing trace events are frozen per box — what a
+/// postmortem renders (its final spans and the recovery sweep map). The
+/// whole ring would make every box tens of kilobytes.
+pub const BLACKBOX_TRACE_EVENTS: usize = 32;
+
+/// At most this many of the slowest slow-op entries are frozen per box.
+/// With the trace-tail cap this keeps a box within 8 KB.
+pub const BLACKBOX_SLOW_OPS: usize = 8;
 
 /// The engine-side flight recorder. See the module docs.
 #[derive(Debug)]
 pub struct FlightRecorder {
-    sidecar: SidecarLog,
-    commits: AtomicU64,
     epoch: Stopwatch,
+    /// One past the LSN of the newest box this recorder appended; zero
+    /// before the first.
+    last: AtomicU64,
+}
+
+impl Default for FlightRecorder {
+    fn default() -> Self {
+        FlightRecorder { epoch: Stopwatch::start(), last: AtomicU64::new(0) }
+    }
 }
 
 impl FlightRecorder {
-    /// Opens (creating if needed) the sidecar stream for the log
-    /// directory `log_dir`, through the same I/O layer as the main log.
-    pub fn attach(io: Arc<dyn WalIo>, log_dir: &Path) -> rh_common::Result<Self> {
-        let sidecar = SidecarLog::open_with(io, SidecarLog::dir_for(log_dir))?;
-        Ok(FlightRecorder { sidecar, commits: AtomicU64::new(0), epoch: Stopwatch::start() })
-    }
-
-    /// The underlying stream (tests inspect retention and tear repair).
-    pub fn sidecar(&self) -> &SidecarLog {
-        &self.sidecar
-    }
-
-    /// Counts one commit; true when the cadence says "record now".
-    pub fn commit_due(&self) -> bool {
-        self.commits.fetch_add(1, Ordering::Relaxed) % COMMIT_PERIOD == COMMIT_PERIOD - 1
-    }
-
-    /// Freezes `obs` (registry snapshot + trace-ring tail) into one
-    /// durable black-box record. Returns whether the record landed;
-    /// failures bump `blackbox.errors` and are otherwise swallowed —
-    /// the flight recorder must never fail the engine.
-    pub fn record(&self, reason: &str, obs: &Obs) -> bool {
-        let metrics = obs.registry.snapshot();
+    /// Freezes `metrics` with `obs`'s trace tail and slow-op log into one
+    /// box and appends it to `log`, unforced. Returns the box's LSN,
+    /// which is also its `seq`.
+    pub fn append(
+        &self,
+        log: &LogManager,
+        reason: &str,
+        metrics: &RegistrySnapshot,
+        obs: &Obs,
+    ) -> Lsn {
         let trace = obs.tracer.tail(BLACKBOX_TRACE_EVENTS);
-        let seq = self.sidecar.next_seq();
-        let bytes = blackbox::encode_record(
-            seq,
+        let payload = blackbox::encode_record(
             self.epoch.elapsed_micros(),
             reason,
-            &metrics,
+            metrics,
             &trace,
-            &obs.slowops,
+            obs.slowops.top_json(BLACKBOX_SLOW_OPS),
         );
-        match self.sidecar.append(&bytes) {
-            Ok(seq) => {
-                obs.registry.inc(names::M_BLACKBOX_RECORDS);
-                obs.registry.add(names::M_BLACKBOX_BYTES, bytes.len() as u64);
-                obs.tracer.point(
-                    names::EV_BLACKBOX_RECORD,
-                    seq,
-                    seq,
-                    rh_obs::trace::NONE,
-                    bytes.len() as u64,
-                );
-                true
+        let bytes = payload.len() as u64;
+        let lsn = log.append(TxnId::NONE, Lsn::NULL, RecordBody::BlackBox { payload });
+        self.last.fetch_max(lsn.raw() + 1, Ordering::Relaxed);
+        obs.registry.inc(names::M_BLACKBOX_RECORDS);
+        obs.registry.add(names::M_BLACKBOX_BYTES, bytes);
+        obs.tracer.point(
+            names::EV_BLACKBOX_RECORD,
+            lsn.raw(),
+            lsn.raw(),
+            rh_obs::trace::NONE,
+            bytes,
+        );
+        lsn
+    }
+
+    /// Forces `log` through `lsn`; a failure bumps `blackbox.errors` and
+    /// reads as `false`.
+    pub fn force(log: &LogManager, lsn: Lsn, obs: &Obs) -> bool {
+        let forced = log.flush_to(lsn).is_ok();
+        if !forced {
+            obs.registry.inc(names::M_BLACKBOX_ERRORS);
+        }
+        forced
+    }
+
+    /// One cadence tick. Forces the log only if the previous box is
+    /// still not durable; then freezes a new box from `metrics` unless
+    /// the log has not grown since the previous one — an idle log stays
+    /// as it is.
+    pub fn tick(&self, log: &LogManager, obs: &Obs, metrics: impl FnOnce() -> RegistrySnapshot) {
+        let last = self.last.load(Ordering::Relaxed);
+        if last > 0 {
+            if log.durable_len() < last {
+                Self::force(log, Lsn(last - 1), obs);
             }
-            Err(_) => {
-                obs.registry.inc(names::M_BLACKBOX_ERRORS);
-                false
+            if log.curr_lsn().raw() <= last {
+                return;
+            }
+        }
+        self.append(log, "cadence", &metrics(), obs);
+    }
+}
+
+/// Every black box in the log directory `dir`, oldest first. Reads the
+/// segment files directly and opens no log: nothing is created,
+/// truncated or repaired, so a live server's directory is safe to read.
+/// A torn frame ends its segment's scan; a box that does not parse is
+/// skipped.
+pub fn boxes_in_dir(dir: &Path) -> std::io::Result<Vec<BlackBoxRecord>> {
+    let mut segments: Vec<_> = std::fs::read_dir(dir)?
+        .filter_map(|e| e.ok().map(|e| e.path()))
+        .filter(|p| segment::parse_segment_name(p).is_some())
+        .collect();
+    segments.sort();
+    let mut boxes = Vec::new();
+    for seg in segments {
+        let bytes = std::fs::read(&seg)?;
+        let mut pos = 0;
+        while let frame::Decoded::Valid { payload, frame_len } = frame::decode(&bytes[pos..]) {
+            pos += frame_len;
+            if let Ok(LogRecord { lsn, body: RecordBody::BlackBox { payload }, .. }) =
+                LogRecord::from_bytes(payload)
+            {
+                boxes.extend(BlackBoxRecord::parse(lsn.raw(), &payload));
             }
         }
     }
+    Ok(boxes)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rh_obs::BlackBoxRecord;
-    use rh_wal::{FaultInjector, FaultIo, StdIo};
+    use rh_wal::{FaultInjector, FaultIo, FileLogConfig, StableLog};
     use std::path::PathBuf;
+    use std::sync::Arc;
 
     fn scratch(name: &str) -> PathBuf {
         static N: AtomicU64 = AtomicU64::new(0);
@@ -111,27 +164,34 @@ mod tests {
             N.fetch_add(1, Ordering::Relaxed)
         ));
         let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
         dir
     }
 
     #[test]
-    fn records_land_and_parse_back() {
+    fn boxes_land_in_the_log_and_parse_back() {
         let dir = scratch("roundtrip");
-        let fr = FlightRecorder::attach(Arc::new(StdIo), &dir).unwrap();
+        let log = LogManager::attach(StableLog::open_dir(&dir).unwrap());
         let obs = Obs::new();
         obs.registry.add("log.appends", 7);
-        obs.tracer.point("e", 1, 1, 1, 0);
+        for i in 0..(BLACKBOX_TRACE_EVENTS as u64 + 100) {
+            obs.tracer.point("e", i, i, rh_obs::trace::NONE, 0);
+        }
         obs.slowops.set_threshold_us(0);
         obs.record_slow_op("commit", 1, 9, 1500, vec![(names::PH_FLUSH_WAIT, 1400)]);
-        assert!(fr.record("unit-test", &obs));
+        let lsn =
+            FlightRecorder::default().append(&log, "unit-test", &obs.registry.snapshot(), &obs);
+        assert!(FlightRecorder::force(&log, lsn, &obs));
         assert_eq!(obs.registry.snapshot().counter(names::M_BLACKBOX_RECORDS), 1);
 
-        let (_, payload) = fr.sidecar().last().unwrap();
-        let rec = BlackBoxRecord::parse(&payload).unwrap();
-        assert_eq!(rec.reason, "unit-test");
+        let boxes = boxes_in_dir(&dir).unwrap();
+        assert_eq!(boxes.len(), 1);
+        let rec = &boxes[0];
+        assert_eq!((rec.seq, rec.reason.as_str()), (lsn.raw(), "unit-test"), "seq is the LSN");
         assert_eq!(rec.counter("log.appends"), 7);
-        assert_eq!(rec.events().len(), 1);
+        // The trace tail is capped; the older events are counted dropped.
+        assert_eq!(rec.events().len(), BLACKBOX_TRACE_EVENTS);
+        let dropped = rec.raw.get("trace").and_then(|t| t.get("dropped"));
+        assert_eq!(dropped.and_then(rh_obs::JsonValue::as_u64), Some(100));
         // The slow-op log rides into the black box with the record.
         let slow = rec.slow_ops();
         assert_eq!(slow.len(), 1);
@@ -139,42 +199,42 @@ mod tests {
     }
 
     #[test]
-    fn trace_tail_is_capped() {
-        let dir = scratch("cap");
-        let fr = FlightRecorder::attach(Arc::new(StdIo), &dir).unwrap();
+    fn cadence_skips_an_idle_log_and_forces_only_a_stale_box() {
+        let log = LogManager::new();
+        let fr = FlightRecorder::default();
         let obs = Obs::new();
-        for i in 0..(BLACKBOX_TRACE_EVENTS as u64 + 100) {
-            obs.tracer.point("e", i, i, rh_obs::trace::NONE, 0);
+        let snap = || obs.registry.snapshot();
+        // The first tick boxes; nothing forces it yet.
+        fr.tick(&log, &obs, snap);
+        assert_eq!((log.curr_lsn(), log.durable_len()), (Lsn(1), 0));
+        // Idle: the stale box is forced, and no new box is frozen.
+        for _ in 0..2 {
+            fr.tick(&log, &obs, snap);
+            assert_eq!((log.curr_lsn(), log.durable_len()), (Lsn(1), 1));
         }
-        assert!(fr.record("cap-test", &obs));
-        let (_, payload) = fr.sidecar().last().unwrap();
-        let rec = BlackBoxRecord::parse(&payload).unwrap();
-        assert_eq!(rec.events().len(), BLACKBOX_TRACE_EVENTS);
-        // The 100 older events left out are counted as dropped.
-        let dropped = rec.raw.get("trace").and_then(|t| t.get("dropped"));
-        assert_eq!(dropped.and_then(rh_obs::JsonValue::as_u64), Some(100));
+        // The log grows: the next tick boxes again, unforced.
+        log.append(TxnId(1), Lsn::NULL, RecordBody::Begin);
+        fr.tick(&log, &obs, snap);
+        assert_eq!((log.curr_lsn(), log.durable_len()), (Lsn(3), 1));
+        assert_eq!(obs.registry.snapshot().counter(names::M_BLACKBOX_RECORDS), 2);
     }
 
     #[test]
-    fn commit_cadence() {
-        let dir = scratch("cadence");
-        let fr = FlightRecorder::attach(Arc::new(StdIo), &dir).unwrap();
-        let due: u64 = (0..(3 * COMMIT_PERIOD)).filter(|_| fr.commit_due()).count() as u64;
-        assert_eq!(due, 3);
-    }
-
-    #[test]
-    fn post_crash_appends_fail_softly() {
+    fn post_crash_forces_fail_softly() {
         let dir = scratch("crash");
         let injector = FaultInjector::unlimited();
         let io = Arc::new(FaultIo::std(Arc::clone(&injector)));
-        let fr = FlightRecorder::attach(io, &dir).unwrap();
+        let log =
+            LogManager::attach(StableLog::open_file_with(io, FileLogConfig::new(&dir)).unwrap());
+        let fr = FlightRecorder::default();
         let obs = Obs::new();
-        assert!(fr.record("before", &obs));
+        let lsn = fr.append(&log, "before", &obs.registry.snapshot(), &obs);
+        assert!(FlightRecorder::force(&log, lsn, &obs));
         injector.trip();
-        // The dead process's record vanishes; the engine never hears
-        // about it beyond a counter.
-        assert!(!fr.record("after", &obs));
+        // The dead process's box vanishes; the engine never hears about
+        // it beyond a counter.
+        let lsn = fr.append(&log, "after", &obs.registry.snapshot(), &obs);
+        assert!(!FlightRecorder::force(&log, lsn, &obs));
         assert_eq!(obs.registry.snapshot().counter(names::M_BLACKBOX_ERRORS), 1);
     }
 }

@@ -85,6 +85,10 @@ pub struct ForwardOutcome {
     /// participant shard indices. The sharded resolver unions these
     /// across every shard's recovery to decide in-doubt transactions.
     pub coord_commits: Vec<(TxnId, Vec<u32>)>,
+    /// The newest black box analyzed, as `(lsn, encoded payload)`:
+    /// recovery's postmortem parses it once both passes are done, and a
+    /// promoted replica explains its dead primary from it.
+    pub newest_box: Option<(Lsn, Vec<u8>)>,
     /// Counters.
     pub stats: ForwardStats,
 }
@@ -290,6 +294,7 @@ impl ForwardOutcome {
             lazy_scopes: track_lazy.then(HashMap::new),
             prov: ProvenanceTable::new(),
             coord_commits: Vec::new(),
+            newest_box: None,
             stats: ForwardStats::default(),
         }
     }
@@ -404,6 +409,11 @@ impl ForwardOutcome {
             RecordBody::CheckpointBegin | RecordBody::CheckpointEnd { .. } => {
                 // A checkpoint later than the master anchor (or an incomplete
                 // one): its information is redundant with the live scan.
+            }
+            RecordBody::BlackBox { payload } => {
+                // Observability only: no state moves. Keep the bytes of
+                // the newest box; nobody parses the older ones.
+                self.newest_box = Some((lsn, payload.clone()));
             }
         }
         Ok(())

@@ -18,7 +18,6 @@ use rh_obs::{blackbox, names, BlackBoxRecord, JsonValue, Obs, Stopwatch};
 use rh_storage::{BufferPool, Disk};
 use rh_wal::metrics::LogMetricsSnapshot;
 use rh_wal::record::RecordBody;
-use rh_wal::sidecar::SidecarLog;
 use rh_wal::{LogManager, StableLog};
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -43,35 +42,30 @@ pub struct RecoveryReport {
     pub coord_commits: Vec<(TxnId, Vec<u32>)>,
     /// Transactions whose commit records were seen (winners).
     pub winners_seen: u64,
-    /// Wall clock for the whole recovery (attach through log force).
+    /// Wall clock for the whole recovery (attach through log force),
+    /// split into `forward_wall`, `undo_wall`, `open_wall` and
+    /// `force_wall`.
     pub elapsed: Duration,
     /// Wall clock for the forward pass alone.
     pub forward_wall: Duration,
     /// Wall clock for the backward pass alone.
     pub undo_wall: Duration,
+    /// Wall clock from the backward pass to the final force: loser
+    /// termination, engine open, the predecessor postmortem and this
+    /// incarnation's first black box.
+    pub open_wall: Duration,
+    /// Wall clock for the final log force.
+    pub force_wall: Duration,
     /// Log activity attributable to this recovery (snapshot delta).
     pub log_delta: LogMetricsSnapshot,
     /// Disk activity attributable to this recovery (snapshot delta).
     pub disk_delta: rh_storage::DiskMetricsSnapshot,
-    /// Predecessor diff: the crashed incarnation's last black-box record
-    /// (final spans, counters at freeze time) against post-recovery
-    /// state. `None` when no flight-recorder stream was found next to
-    /// the log.
+    /// Predecessor diff: the newest black box the forward pass met in
+    /// the log (final spans, counters at freeze time) against
+    /// post-recovery state. `None` when the log holds no box (a fresh or
+    /// mem-backed log) or the newest one does not parse — a damaged box
+    /// costs the postmortem, never the recovery.
     pub postmortem: Option<JsonValue>,
-}
-
-/// Loads the predecessor's newest black-box record from the sidecar
-/// stream next to `stable`'s directory. Strictly best-effort: any
-/// failure (mem-backed log, no stream, torn-away tail, unparseable
-/// record) degrades to `None` — a recovery must never fail because the
-/// black box is damaged. Reads through the real filesystem even when
-/// the engine runs fault-injected I/O: the predecessor's records are
-/// plain on-disk state by now.
-fn load_predecessor_blackbox(stable: &StableLog) -> Option<BlackBoxRecord> {
-    let dir = stable.dir()?;
-    let sidecar = SidecarLog::open(SidecarLog::dir_for(dir)).ok()?;
-    let (_, payload) = sidecar.last()?;
-    BlackBoxRecord::parse(&payload)
 }
 
 /// Collects the scopes the backward pass must walk. For RH: exactly the
@@ -167,16 +161,20 @@ impl Analyzed {
     }
 
     /// The backward tail restart recovery and replica promotion share:
-    /// undo the loser scopes, terminate the losers, force the log, then
-    /// open the engine and re-arm its flight recorder. Returns the engine
-    /// and its report; `elapsed` runs from `started` to the log force,
-    /// and the log and disk deltas from the given snapshots. The report's
-    /// `forward_wall` and `postmortem` are left for the caller.
+    /// undo the loser scopes, terminate the losers, open the engine with
+    /// its flight recorder, diff the newest black box the forward pass
+    /// met against the recovered state, freeze this incarnation's first
+    /// box (tagged `reason`), and force the log — which makes that box
+    /// durable without a force of its own. Returns the engine and its
+    /// report; `elapsed` runs from `started` to the log force, and the
+    /// log and disk deltas from the given snapshots. The report's
+    /// `forward_wall` is left for the caller.
     pub(crate) fn finish(
         self,
         started: &Stopwatch,
         log_before: &LogMetricsSnapshot,
         disk_before: &rh_storage::DiskMetricsSnapshot,
+        reason: &str,
     ) -> Result<(RhDb, RecoveryReport)> {
         let Analyzed { strategy, config, log, disk, mut pool, mut fwd, obs } = self;
         let lazy = strategy == Strategy::LazyRewrite;
@@ -186,14 +184,36 @@ impl Analyzed {
         let undo_started = Stopwatch::start();
         let undo = undo_scopes(&log, &mut pool, tr, scopes, compensated, lazy, &obs)?;
         let undo_wall = undo_started.elapsed();
+        obs.registry.observe(names::M_RECOVERY_UNDO_US, undo_wall.as_micros() as u64);
+        let open_started = Stopwatch::start();
         terminate_losers(&log, tr, &losers)?;
-        log.flush_all()?;
-        let elapsed = started.elapsed();
         // Only in-doubt (2PC-prepared) transactions may survive; the
         // sharded resolver terminates them once every shard's decision
         // records have been unioned.
         let indoubt = tr.with_status(TxnStatus::Prepared);
         debug_assert!(tr.len() == indoubt.len(), "the tail must drain all but the in-doubt");
+
+        let mut db = RhDb::from_parts(strategy, config, log, disk, pool, fwd.tr, fwd.next_txn, obs);
+        db.set_provenance(fwd.prov);
+        // Decisions survive into the new incarnation's checkpoints until
+        // the sharded resolver retires them (unsharded logs never have
+        // any).
+        db.set_coord_decisions(&fwd.coord_commits);
+        db.attach_flight_recorder();
+        // The predecessor's box is parsed only now, once, after both
+        // passes.
+        let postmortem = fwd
+            .newest_box
+            .and_then(|(lsn, payload)| BlackBoxRecord::parse(lsn.raw(), &payload))
+            .map(|pred| blackbox::postmortem(&pred, &db.stats(), blackbox::DEFAULT_FINAL_EVENTS));
+        if let Some(pm) = &postmortem {
+            db.set_postmortem(pm.clone());
+        }
+        db.freeze_blackbox(reason);
+        let open_wall = open_started.elapsed();
+        let force_started = Stopwatch::start();
+        db.log().flush_all()?;
+        let force_wall = force_started.elapsed();
         let report = RecoveryReport {
             winners_seen: fwd.stats.commits_seen,
             forward: fwd.stats,
@@ -201,23 +221,15 @@ impl Analyzed {
             losers,
             indoubt,
             coord_commits: fwd.coord_commits,
-            elapsed,
+            elapsed: started.elapsed(),
             forward_wall: Duration::ZERO,
             undo_wall,
-            log_delta: log.metrics().snapshot().since(log_before),
-            disk_delta: disk.metrics().snapshot().since(disk_before),
-            postmortem: None,
+            open_wall,
+            force_wall,
+            log_delta: db.log().metrics().snapshot().since(log_before),
+            disk_delta: db.disk().metrics().snapshot().since(disk_before),
+            postmortem,
         };
-
-        let mut db = RhDb::from_parts(strategy, config, log, disk, pool, fwd.tr, fwd.next_txn, obs);
-        db.set_provenance(fwd.prov);
-        // Decisions survive into the new incarnation's checkpoints until
-        // the sharded resolver retires them (unsharded logs never have
-        // any).
-        db.set_coord_decisions(&report.coord_commits);
-        // Re-arm the flight recorder for this incarnation, through the
-        // same I/O layer as the log.
-        db.attach_flight_recorder();
         Ok((db, report))
     }
 }
@@ -227,7 +239,8 @@ impl Analyzed {
 /// Steps (Fig. 3): attach to the stable log, forward pass from the last
 /// checkpoint (analysis + redo), then the backward tail shared with
 /// replica promotion ([`Analyzed::finish`]): backward pass over
-/// loser-scope clusters, abort/end records for the losers, log force.
+/// loser-scope clusters, abort/end records for the losers, the
+/// predecessor postmortem and a "recovery" black box, log force.
 pub fn recover(
     strategy: Strategy,
     config: DbConfig,
@@ -236,9 +249,6 @@ pub fn recover(
 ) -> Result<RhDb> {
     let obs = Arc::new(Obs::new());
     let started = Stopwatch::start();
-    // Read the crashed incarnation's black box *before* this recovery
-    // starts writing its own records into the same stream.
-    let predecessor = load_predecessor_blackbox(&stable);
     let span = obs.tracer.span(names::SPAN_RECOVERY);
     // Recovery progress is first-class telemetry: each pass boundary
     // pins a *marked* sample into the time-series ring, so once this
@@ -256,30 +266,20 @@ pub fn recover(
         use rh_obs::trace::NONE;
         span.point(names::EV_PAGES_REDONE, NONE, NONE, NONE, analyzed.fwd.stats.redone);
     }
-
-    // ---- backward pass, termination, log force --------------------------
-    // The log was attached fresh, so all of its counts are this recovery's.
-    let log_before = LogMetricsSnapshot::default();
-    let (mut db, mut report) = analyzed.finish(&started, &log_before, &disk_before)?;
-    drop(span);
-    obs.mark_timeseries(names::TS_RECOVERY_UNDO);
+    // Observed before the backward tail, so the "recovery" black box it
+    // freezes carries the run and both passes' wall clocks.
     obs.registry.inc(names::M_RECOVERY_RUNS);
     obs.registry.observe(names::M_RECOVERY_FORWARD_US, forward_wall.as_micros() as u64);
-    obs.registry.observe(names::M_RECOVERY_UNDO_US, report.undo_wall.as_micros() as u64);
+
+    // ---- backward pass, termination, black box, log force ---------------
+    // The log was attached fresh, so all of its counts are this recovery's.
+    let log_before = LogMetricsSnapshot::default();
+    let (mut db, mut report) = analyzed.finish(&started, &log_before, &disk_before, "recovery")?;
+    drop(span);
+    obs.mark_timeseries(names::TS_RECOVERY_UNDO);
     obs.registry.observe(names::M_RECOVERY_TOTAL_US, report.elapsed.as_micros() as u64);
     obs.mark_timeseries(names::TS_RECOVERY_DONE);
-
-    // The postmortem diffs the predecessor's frozen counters against the
-    // recovered process's one-stop stats view.
     report.forward_wall = forward_wall;
-    report.postmortem = predecessor
-        .as_ref()
-        .map(|pred| blackbox::postmortem(pred, &db.stats(), blackbox::DEFAULT_FINAL_EVENTS));
-    if let Some(pm) = &report.postmortem {
-        db.set_postmortem(pm.clone());
-    }
     db.set_recovery_report(report);
-    // First record of the new incarnation: the full recovery timeline.
-    db.record_blackbox("recovery");
     Ok(db)
 }

@@ -14,7 +14,9 @@
 //! finished, so promotion runs recovery's own backward tail
 //! ([`Analyzed::finish`]) — backward pass over loser-scope clusters,
 //! loser termination, log force — and the engine is open for writes. No
-//! pass over the log is ever repeated.
+//! pass over the log is ever repeated. The primary's black boxes ship
+//! with the rest of its log, so the promoted engine's postmortem
+//! explains the primary it replaced.
 //!
 //! ## Staleness contract
 //!
@@ -91,7 +93,8 @@ impl ReplicaCore {
     /// writable engine with a full [`crate::recovery::RecoveryReport`] —
     /// in-doubt 2PC survivors included, so the sharded resolver can
     /// union decisions across promoted shards exactly as it does across
-    /// recovered ones. The report's `forward_wall` stays zero: the
+    /// recovered ones, and the postmortem of the newest black box the
+    /// primary shipped. The report's `forward_wall` stays zero: the
     /// "forward pass" of a promotion is the whole replication epoch,
     /// already paid record by record before the promotion began.
     fn promote(self) -> Result<RhDb> {
@@ -99,12 +102,11 @@ impl ReplicaCore {
         let log_before = self.log.metrics().snapshot();
         let disk_before = self.disk.metrics().snapshot();
         let obs = Arc::clone(&self.obs);
-        let (mut db, report) = self.finish(&started, &log_before, &disk_before)?;
+        let (mut db, report) = self.finish(&started, &log_before, &disk_before, "promote")?;
         obs.registry.inc(names::M_REPL_PROMOTIONS);
         obs.registry.observe(names::M_REPL_PROMOTE_US, report.elapsed.as_micros() as u64);
         obs.mark_timeseries(names::TS_REPL_PROMOTE);
         db.set_recovery_report(report);
-        db.record_blackbox("promote");
         Ok(db)
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! [`ShardedDb`] partitions the object space across N independent
 //! [`RhDb`] instances — each with its own WAL (segment directory when
-//! file-backed), lock manager, scope tables, buffer pool, and
-//! flight-recorder sidecar — and routes every operation by object id
+//! file-backed), lock manager, scope tables, buffer pool, and flight
+//! recorder — and routes every operation by object id
 //! through a [`ShardMap`]. Transactions that touch a single shard commit
 //! on the existing fast path (one `commit_prepare` + one group-committed
 //! flush, untouched). Transactions that touch several shards — including
@@ -53,6 +53,7 @@
 
 use crate::api::TxnEngine;
 use crate::engine::{DbConfig, RhDb, Strategy};
+use crate::flight::FlightRecorder;
 use crate::provenance::{ProvHop, ProvenanceTable};
 use crate::recovery::RecoveryReport;
 use crate::reenact::{self, Purpose, Reenactment, VersionRecord};
@@ -155,6 +156,7 @@ impl ShardCell {
             obs: Arc::clone(db.obs()),
             prov: db.prov_handle(),
             postmortem: db.postmortem_handle(),
+            flight: db.flight_handle(),
         };
         ShardCell { engine: Mutex::named_ordered(db, names::LS_CORE_ENGINE, rank), view }
     }
@@ -170,6 +172,7 @@ struct ShardView {
     obs: Arc<Obs>,
     prov: Arc<Mutex<ProvenanceTable>>,
     postmortem: Arc<Mutex<Option<JsonValue>>>,
+    flight: Option<Arc<FlightRecorder>>,
 }
 
 impl ShardView {
@@ -271,8 +274,8 @@ impl ShardedDb {
     /// Creates a fresh sharded database over the given stable log
     /// backends, one per shard (typically file-backed segment
     /// directories `shard-0/ .. shard-N-1/`). Each file-backed shard gets
-    /// its own flight-recorder sidecar, exactly as
-    /// [`RhDb::with_stable_log`] provides.
+    /// its own flight recorder, exactly as [`RhDb::with_stable_log`]
+    /// provides.
     pub fn with_stable_logs(
         strategy: Strategy,
         config: DbConfig,
@@ -451,17 +454,57 @@ impl ShardedDb {
         self.shards.get(shard).map(|c| &c.view.obs)
     }
 
-    /// Freezes a black-box record in every shard's flight recorder (a
-    /// no-op for shards without one). Crash tests call this so the
-    /// post-crash sidecars carry the freshest slow-op log and trace
-    /// ring.
+    // ---- flight recorder ------------------------------------------------
+    //
+    // Every path here reads only the shards' mutex-free views: freezing a
+    // black box never waits for, or holds, an engine mutex.
+
+    /// The registry shard `shard`'s black box freezes. Shard 0's is the
+    /// merged [`ShardedDb::stats`], so the router's own series
+    /// (`server.*`, `recovery.first_ack_us`) land in a box too.
+    fn box_metrics(&self, shard: usize) -> RegistrySnapshot {
+        if shard == 0 {
+            self.stats()
+        } else {
+            self.shards[shard].view.absorbed()
+        }
+    }
+
+    /// Appends a black box to every shard's log that has a flight
+    /// recorder, forcing each log through it when `force` is set.
+    fn freeze_all(&self, reason: &str, force: bool) {
+        for (k, cell) in self.shards.iter().enumerate() {
+            let view = &cell.view;
+            let Some(flight) = &view.flight else { continue };
+            let lsn = flight.append(&view.log, reason, &self.box_metrics(k), &view.obs);
+            if force {
+                FlightRecorder::force(&view.log, lsn, &view.obs);
+            }
+        }
+    }
+
+    /// Freezes a black box in every shard and forces each shard's log
+    /// through it (a no-op for shards without a flight recorder). Crash
+    /// tests call this so the post-crash logs carry the freshest slow-op
+    /// log and trace ring.
     pub fn record_blackbox_all(&self, reason: &str) {
-        for cell in &self.shards {
-            let engine = cell.engine.lock();
-            // The black-box dump may force its sidecar under the shard mutex:
-            // crash-adjacent state must not race the crash.
-            // rh-analyze: allow(L6)
-            engine.record_blackbox(reason);
+        self.freeze_all(reason, true);
+    }
+
+    /// [`ShardedDb::record_blackbox_all`] without the force: the boxes
+    /// ride each shard's next flush.
+    pub fn freeze_blackbox_all(&self, reason: &str) {
+        self.freeze_all(reason, false);
+    }
+
+    /// One flight-recorder cadence tick over every shard
+    /// ([`FlightRecorder::tick`]). A server runs it once per
+    /// [`crate::flight::CADENCE`].
+    pub fn blackbox_tick(&self) {
+        for (k, cell) in self.shards.iter().enumerate() {
+            if let Some(flight) = &cell.view.flight {
+                flight.tick(&cell.view.log, &cell.view.obs, || self.box_metrics(k));
+            }
         }
     }
 
@@ -582,8 +625,6 @@ impl ShardedDb {
                 let (lsn, prepare_us) = {
                     let mut engine = cell.engine.lock();
                     let sw = Stopwatch::start();
-                    // The prepare force under the shard mutex IS the 2PC vote's
-                    // durability point. rh-analyze: allow(L6)
                     let lsn = engine.commit_prepare(txn)?;
                     (lsn, sw.elapsed_micros())
                 };
@@ -690,23 +731,20 @@ impl ShardedDb {
         let participants: Vec<u32> = rest.iter().map(|&s| s as u32).collect();
         let appended = {
             let mut engine = self.shards[coord].engine.lock();
-            let before = self.shards[coord].view.log.curr_lsn();
-            engine
-                // The coordinator's commit record must be durable before any
-                // participant resolves — forced under the coord shard mutex.
-                // rh-analyze: allow(L6)
-                .append_coord_commit(txn, &participants)
-                .map_err(|e| (e, self.shards[coord].view.log.curr_lsn() == before))
+            engine.append_coord_commit(txn, &participants)
         };
         let lsn = match appended {
             Ok(lsn) => lsn,
-            Err((e, clean)) => {
+            Err((e, appended)) => {
                 // Unwind only if the decision record was never appended;
                 // once appended it could still become durable through a
                 // later group-commit flush, and aborting the prepared
                 // participants then would contradict it. Leave the
-                // ambiguous case to recovery, exactly like a crash.
-                if clean {
+                // ambiguous case to recovery, exactly like a crash. The
+                // engine says which: other records (black boxes among
+                // them) reach this log without the engine mutex, so the
+                // log's length cannot tell.
+                if !appended {
                     self.unwind_undecided(txn, parts);
                 }
                 return Err(e);
@@ -727,7 +765,6 @@ impl ShardedDb {
             let edge = Stopwatch::start();
             let resolved = {
                 let mut engine = self.shards[shard].engine.lock();
-                // rh-analyze: allow(L6) — participant outcome force, same protocol.
                 engine.resolve_prepared(txn, true)
             };
             match resolved {

@@ -18,19 +18,18 @@
 //! The disk being fresh makes the claim sharp: durability of committed
 //! work is carried *entirely* by the WAL frames that survived the crash.
 //!
-//! The script also freezes flight-recorder (black-box) records through
-//! the **same** fault-injected I/O layer, so the byte sweep cuts the
-//! sidecar stream too: a torn black-box tail must truncate cleanly on
-//! reopen and must never fail recovery of the main log (invariant 3).
+//! The script also freezes flight-recorder black boxes, which ride the
+//! log itself, so the byte sweep cuts box frames too: a torn box must
+//! truncate cleanly on reopen and must never fail recovery (invariant
+//! 3).
 
 use rh_common::ops::Value;
-use rh_common::ObjectId;
+use rh_common::{Lsn, ObjectId};
 use rh_core::engine::{DbConfig, RhDb, Strategy};
+use rh_core::flight::boxes_in_dir;
 use rh_core::TxnEngine;
-use rh_obs::BlackBoxRecord;
 use rh_storage::Disk;
-use rh_wal::sidecar::SidecarLog;
-use rh_wal::{FaultInjector, FaultIo, FileLogConfig, StableLog};
+use rh_wal::{FaultInjector, FaultIo, FileLogConfig, RecordBody, StableLog};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -105,10 +104,10 @@ fn run_script(db: &mut RhDb) -> (BTreeMap<ObjectId, Value>, Vec<ObjectId>) {
             poisoned.push(ObjectId(40 + r));
         }
 
-        // Freeze a black box most rounds: its sidecar frames go through
-        // the same fault-injected I/O, so the byte sweep also lands
-        // inside (and tears) flight-recorder records. Best-effort by
-        // contract — post-crash freezes simply report false.
+        // Freeze a black box most rounds: its frame goes through the
+        // same fault-injected log, so the byte sweep also lands inside
+        // (and tears) black boxes. Best-effort by contract — post-crash
+        // freezes simply report false.
         if r % 2 == 1 {
             let _ = db.record_blackbox("sweep-round");
         }
@@ -193,23 +192,25 @@ fn crash_at_any_byte_offset_loses_no_committed_work_and_resurrects_no_loser() {
             assert_ne!(got, POISON, "offset {offset}: loser write resurrected on {ob:?}");
         }
 
-        // Invariant 3: whatever the sweep did to the black-box stream —
-        // torn tail, vanished records, nothing at all — it reopens
-        // cleanly and every retained record parses. (Recovery already
+        // Invariant 3: whatever the sweep did to the black boxes — a
+        // torn box, vanished boxes, none at all — every box the log
+        // retains parses, and the postmortem, if any, names the newest
+        // box that precedes this recovery's own. (Recovery already
         // succeeded above despite it, which is the stronger half.)
-        let obs_dir = SidecarLog::dir_for(&dir);
-        if obs_dir.is_dir() {
-            let sidecar = SidecarLog::open(obs_dir)
-                .unwrap_or_else(|e| panic!("offset {offset}: sidecar reopen failed: {e:?}"));
-            let horizon = sidecar.next_seq();
-            for seq in horizon - sidecar.len()..horizon {
-                let payload = sidecar.read(seq).unwrap();
-                assert!(
-                    BlackBoxRecord::parse(&payload).is_some(),
-                    "offset {offset}: retained black-box record {seq} is corrupt"
-                );
-            }
-        }
+        let boxes = boxes_in_dir(&dir).unwrap();
+        let log = db.log();
+        let in_log = (log.first_lsn().raw()..log.curr_lsn().raw())
+            .filter(|&l| {
+                matches!(log.read(Lsn(l)).map(|r| r.body), Ok(RecordBody::BlackBox { .. }))
+            })
+            .count();
+        assert_eq!(boxes.len(), in_log, "offset {offset}: a retained black box is corrupt");
+        let newest_before = boxes.iter().rev().find(|b| b.reason == "sweep-round");
+        let pm_seq = db
+            .postmortem()
+            .and_then(|pm| pm.get("predecessor").and_then(|p| p.get("seq")).cloned())
+            .and_then(|v| v.as_u64());
+        assert_eq!(pm_seq, newest_before.map(|b| b.seq), "offset {offset}");
 
         // The recovered engine is live: new work commits and survives a
         // second (clean) restart.
@@ -248,10 +249,10 @@ fn dropped_fsyncs_are_what_makes_unacked_commits_possible() {
 #[test]
 fn torn_blackbox_tail_never_fails_main_log_recovery() {
     // A damaged black box must cost at most the postmortem, never the
-    // database. Freeze two records, chop the sidecar tail mid-frame,
-    // recover: the main log must come back whole and the postmortem must
-    // fall back to the newest *intact* record; chop the stream down to
-    // nothing and recovery must still succeed with no postmortem at all.
+    // database. Freeze two boxes, tear the log inside the newest box's
+    // frame, recover: the committed work must come back whole and the
+    // postmortem must fall back to the previous box; a log with no box
+    // at all must recover with no postmortem.
     let dir = scratch("tornbb");
     let stable =
         StableLog::open_file(FileLogConfig::new(&dir).segment_bytes(SEGMENT_BYTES)).expect("open");
@@ -264,15 +265,15 @@ fn torn_blackbox_tail_never_fails_main_log_recovery() {
     let (stable, _disk) = db.crash();
     drop(stable);
 
-    // Chop the newest sidecar segment a few bytes short: the second
-    // record's frame is torn exactly as a mid-write crash would leave it.
-    let obs_dir = SidecarLog::dir_for(&dir);
-    let newest = std::fs::read_dir(&obs_dir)
+    // Chop the newest segment a few bytes short: the second box — the
+    // log's last record — is torn exactly as a mid-write crash would
+    // leave it.
+    let newest = std::fs::read_dir(&dir)
         .unwrap()
         .map(|e| e.unwrap().path())
         .filter(|p| p.extension().is_some_and(|x| x == "seg"))
         .max()
-        .expect("sidecar segment");
+        .expect("log segment");
     let len = newest.metadata().unwrap().len();
     let file = std::fs::OpenOptions::new().write(true).open(&newest).unwrap();
     file.set_len(len - 3).unwrap();
@@ -289,12 +290,18 @@ fn torn_blackbox_tail_never_fails_main_log_recovery() {
         Some("first-freeze"),
         "postmortem falls back past the torn tail"
     );
+    std::fs::remove_dir_all(&dir).unwrap();
+
+    // No black box at all: a file-backed log that never froze one.
+    let dir = scratch("nobb");
+    let stable =
+        StableLog::open_file(FileLogConfig::new(&dir).segment_bytes(SEGMENT_BYTES)).expect("open");
+    let mut db = RhDb::with_stable_log(Strategy::Rh, DbConfig::default(), stable);
+    let t = db.begin().unwrap();
+    db.write(t, ObjectId(0), 77).unwrap();
+    db.commit(t).unwrap();
     let (stable, _disk) = db.crash();
     drop(stable);
-
-    // Total black-box loss: nuke the whole stream (plus the record the
-    // recovery above just froze); the database must not care.
-    std::fs::remove_dir_all(&obs_dir).unwrap();
     let stable = StableLog::open_file(FileLogConfig::new(&dir).segment_bytes(SEGMENT_BYTES))
         .expect("reopen");
     let mut db =

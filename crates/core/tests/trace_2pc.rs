@@ -7,11 +7,11 @@
 
 use rh_common::ObjectId;
 use rh_core::engine::DbConfig;
+use rh_core::flight::boxes_in_dir;
 use rh_core::sharded::{ShardedDb, TwoPcFault};
 use rh_core::Strategy;
 use rh_obs::blackbox::BlackBoxRecord;
 use rh_obs::{names, JsonValue};
-use rh_wal::sidecar::SidecarLog;
 use rh_wal::StableLog;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -93,11 +93,9 @@ fn scratch(tag: &str) -> PathBuf {
     dir
 }
 
-/// Parses the newest black-box record from a shard's sidecar stream.
+/// The newest black box in a shard's log.
 fn last_blackbox(shard_dir: &Path) -> BlackBoxRecord {
-    let sidecar = SidecarLog::open(SidecarLog::dir_for(shard_dir)).expect("sidecar open");
-    let (_, payload) = sidecar.last().expect("a black-box record");
-    BlackBoxRecord::parse(&payload).expect("parseable record")
+    boxes_in_dir(shard_dir).expect("readable log dir").pop().expect("a black box")
 }
 
 fn slow_op_names(rec: &BlackBoxRecord) -> Vec<String> {
@@ -134,9 +132,9 @@ fn crash_mid_2pc_preserves_slow_edges_in_the_black_box() {
     db.record_blackbox_all("pre-crash");
     drop(db);
 
-    // Postmortem, from the on-disk sidecars alone: each shard's black
-    // box carries the slow-op entries for the edges it had completed,
-    // still tagged with the client's trace id.
+    // Postmortem, from the on-disk logs alone: each shard's black box
+    // carries the slow-op entries for the edges it had completed, still
+    // tagged with the client's trace id.
     let coord = last_blackbox(&shard_dirs[0]);
     let coord_slow = slow_op_names(&coord);
     assert!(

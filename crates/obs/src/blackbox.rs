@@ -4,19 +4,18 @@
 //! trace ring plus an absolute metric snapshot — into a self-describing
 //! JSON payload that a *different process* can parse after this one has
 //! crashed. This module owns only the **format** (encode, parse, and the
-//! postmortem diff); durable persistence is layered on top by `rh-wal`'s
-//! sidecar segment stream, which wraps each payload in the same
-//! CRC32-checked frames as the main log and truncates torn tails on
-//! open. The split keeps this crate dependency-free (see the crate
-//! docs): everything here is plain [`JsonValue`] plumbing.
+//! postmortem diff); persistence is the write-ahead log's: each payload
+//! rides the log as a non-transactional `BlackBox` record, inside the
+//! same CRC32-checked frames, torn-tail repair and retention as every
+//! other record. The split keeps this crate dependency-free (see the
+//! crate docs): everything here is plain [`JsonValue`] plumbing.
 //!
 //! Record layout:
 //!
 //! ```json
 //! {
-//!   "seq":     <u64>,   // position in the sidecar stream
 //!   "at_us":   <u64>,   // recorder uptime when frozen, microseconds
-//!   "reason":  "...",   // what triggered the freeze (commit cadence,
+//!   "reason":  "...",   // what triggered the freeze ("cadence",
 //!                       // "checkpoint", "recovery", ...)
 //!   "metrics": { "counters": {...}, "histograms": {...} },
 //!   "trace":   { "dropped": <u64>, "events": [...] },
@@ -24,35 +23,35 @@
 //! }
 //! ```
 //!
-//! All fields except `slowops` are required by [`BlackBoxRecord::parse`];
-//! `slowops` stays optional on parse so records written by builds that
-//! predate the slow-op log still load.
+//! A record's identity, `seq`, is the LSN of the log record carrying it,
+//! so it is not stored in the payload: [`BlackBoxRecord::parse`] takes it
+//! from the caller. All fields except `slowops` are required;
+//! `slowops` stays optional so records written by builds that predate
+//! the slow-op log still load.
 
 use crate::json::JsonValue;
 use crate::registry::RegistrySnapshot;
-use crate::slowlog::SlowOpLog;
 use crate::trace::TraceSnapshot;
 
 /// How many trailing trace events a postmortem replays by default — the
 /// predecessor's "last N spans".
 pub const DEFAULT_FINAL_EVENTS: usize = 20;
 
-/// Encodes one black-box record as compact JSON bytes.
+/// Encodes one black-box record as compact JSON bytes; `slowops` is the
+/// rendered slow-op log ([`SlowOpLog::to_json`] or a top-N cut of it).
 pub fn encode_record(
-    seq: u64,
     at_us: u64,
     reason: &str,
     metrics: &RegistrySnapshot,
     trace: &TraceSnapshot,
-    slowops: &SlowOpLog,
+    slowops: JsonValue,
 ) -> Vec<u8> {
     JsonValue::obj(vec![
-        ("seq", JsonValue::U64(seq)),
         ("at_us", JsonValue::U64(at_us)),
         ("reason", JsonValue::Str(reason.to_string())),
         ("metrics", metrics.to_json()),
         ("trace", trace.to_json()),
-        ("slowops", slowops.to_json()),
+        ("slowops", slowops),
     ])
     .render()
     .into_bytes()
@@ -61,7 +60,7 @@ pub fn encode_record(
 /// One parsed black-box record.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BlackBoxRecord {
-    /// Position in the sidecar stream.
+    /// LSN of the log record carrying this box.
     pub seq: u64,
     /// Recorder uptime when the record was frozen, microseconds.
     pub at_us: u64,
@@ -72,13 +71,13 @@ pub struct BlackBoxRecord {
 }
 
 impl BlackBoxRecord {
-    /// Parses a record from its encoded bytes. Returns `None` on any
-    /// malformed input — a black box from an older or corrupted build
-    /// must degrade to "no predecessor data", never to an error.
-    pub fn parse(bytes: &[u8]) -> Option<Self> {
+    /// Parses the record carried at LSN `seq` from its encoded bytes.
+    /// Returns `None` on any malformed input — a black box from an older
+    /// or corrupted build must degrade to "no predecessor data", never
+    /// to an error.
+    pub fn parse(seq: u64, bytes: &[u8]) -> Option<Self> {
         let text = std::str::from_utf8(bytes).ok()?;
         let raw = crate::json::parse(text).ok()?;
-        let seq = raw.get("seq")?.as_u64()?;
         let at_us = raw.get("at_us")?.as_u64()?;
         let reason = raw.get("reason")?.as_str()?.to_string();
         raw.get("metrics")?;
@@ -194,6 +193,7 @@ fn counters_json(snap: &RegistrySnapshot) -> JsonValue {
 mod tests {
     use super::*;
     use crate::registry::Registry;
+    use crate::slowlog::SlowOpLog;
     use crate::trace::Tracer;
 
     fn sample() -> (Registry, Tracer, SlowOpLog) {
@@ -213,14 +213,13 @@ mod tests {
     fn roundtrip() {
         let (registry, tracer, slowops) = sample();
         let bytes = encode_record(
-            3,
             1234,
             "checkpoint",
             &registry.snapshot(),
             &tracer.snapshot(),
-            &slowops,
+            slowops.to_json(),
         );
-        let rec = BlackBoxRecord::parse(&bytes).expect("parse");
+        let rec = BlackBoxRecord::parse(3, &bytes).expect("parse");
         assert_eq!(rec.seq, 3);
         assert_eq!(rec.at_us, 1234);
         assert_eq!(rec.reason, "checkpoint");
@@ -239,27 +238,32 @@ mod tests {
     #[test]
     fn records_without_slowops_still_parse() {
         // A record written by a build that predates the slow-op log.
-        let old = r#"{"seq": 1, "at_us": 2, "reason": "cadence",
+        let old = r#"{"at_us": 2, "reason": "cadence",
                       "metrics": {"counters": {}, "histograms": {}},
                       "trace": {"dropped": 0, "events": []}}"#;
-        let rec = BlackBoxRecord::parse(old.as_bytes()).expect("parse legacy record");
+        let rec = BlackBoxRecord::parse(1, old.as_bytes()).expect("parse legacy record");
         assert!(rec.slow_ops().is_empty());
     }
 
     #[test]
     fn malformed_input_degrades_to_none() {
-        assert!(BlackBoxRecord::parse(b"").is_none());
-        assert!(BlackBoxRecord::parse(b"not json").is_none());
-        assert!(BlackBoxRecord::parse(b"{\"seq\": 1}").is_none());
-        assert!(BlackBoxRecord::parse(&[0xFF, 0xFE]).is_none());
+        assert!(BlackBoxRecord::parse(0, b"").is_none());
+        assert!(BlackBoxRecord::parse(0, b"not json").is_none());
+        assert!(BlackBoxRecord::parse(0, b"{\"at_us\": 1}").is_none());
+        assert!(BlackBoxRecord::parse(0, &[0xFF, 0xFE]).is_none());
     }
 
     #[test]
     fn postmortem_diffs_counters_and_keeps_final_spans() {
         let (registry, tracer, slowops) = sample();
-        let bytes =
-            encode_record(0, 10, "cadence", &registry.snapshot(), &tracer.snapshot(), &slowops);
-        let pred = BlackBoxRecord::parse(&bytes).unwrap();
+        let bytes = encode_record(
+            10,
+            "cadence",
+            &registry.snapshot(),
+            &tracer.snapshot(),
+            slowops.to_json(),
+        );
+        let pred = BlackBoxRecord::parse(0, &bytes).unwrap();
 
         let after = Registry::new();
         after.add("log.appends", 50);

@@ -24,9 +24,8 @@
 //!   artifacts without serde;
 //! * [`blackbox`] — the flight-recorder record **format**: a frozen
 //!   trace ring + metric snapshot that a post-crash process can parse to
-//!   replay its predecessor's last spans (persistence lives in
-//!   `rh-wal`'s sidecar segment stream, which frames these payloads like
-//!   log records);
+//!   replay its predecessor's last spans (the payloads ride the
+//!   write-ahead log itself as `BlackBox` records);
 //! * [`serve`] — an opt-in, bounded, read-only introspection endpoint
 //!   (`std::net::TcpListener`, minimal HTTP) that serves whatever JSON
 //!   routes the embedding engine wires up;

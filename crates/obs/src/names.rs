@@ -46,8 +46,8 @@ pub const EV_REWRITE: &str = "rewrite_in_place";
 /// delegator, `payload` = delegatee. Emitted during normal processing
 /// and again when the forward pass rebuilds the chain from the log.
 pub const EV_PROVENANCE_HOP: &str = "provenance_hop";
-/// A flight-recorder record reached the black-box stream; `payload` =
-/// encoded record bytes.
+/// A flight-recorder black box was appended to the log; `lsn_lo` =
+/// `lsn_hi` = its LSN, `payload` = encoded record bytes.
 pub const EV_BLACKBOX_RECORD: &str = "blackbox_record";
 /// A group of records reached stable storage; `payload` = record count.
 pub const EV_LOG_FLUSH: &str = "log_flush";
@@ -187,12 +187,12 @@ pub const M_PROVENANCE_HOPS: &str = "scope.provenance.hops";
 /// each hop is appended.
 pub const M_PROVENANCE_CHAIN_DEPTH: &str = "scope.provenance.chain_depth";
 
-/// Flight-recorder records persisted to the black-box stream.
+/// Flight-recorder black boxes appended to the log.
 pub const M_BLACKBOX_RECORDS: &str = "blackbox.records";
-/// Bytes persisted to the black-box stream.
+/// Encoded bytes of the black boxes appended to the log.
 pub const M_BLACKBOX_BYTES: &str = "blackbox.bytes";
-/// Flight-recorder appends dropped because the sidecar write or sync
-/// failed (the black box is strictly best-effort).
+/// Black-box forces that failed (the black box is strictly
+/// best-effort: a failure never reaches the engine).
 pub const M_BLACKBOX_ERRORS: &str = "blackbox.errors";
 
 /// Histogram: forward-pass wall clock, microseconds.
@@ -382,8 +382,6 @@ pub const LS_WAL_MASTER: &str = "wal.master";
 pub const LS_WAL_INNER: &str = "wal.inner";
 /// The group-commit leader/follower state (condvar-coupled).
 pub const LS_WAL_SYNC_STATE: &str = "wal.sync_state";
-/// The sidecar's append serializer.
-pub const LS_WAL_APPEND: &str = "wal.append";
 /// The in-memory log backend's record vector.
 pub const LS_WAL_RECORDS: &str = "wal.records";
 /// The in-memory log backend's truncation base.

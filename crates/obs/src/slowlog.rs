@@ -144,9 +144,15 @@ impl SlowOpLog {
 
     /// Renders `{threshold_us, entries: [...]}` (slowest first).
     pub fn to_json(&self) -> JsonValue {
+        self.top_json(usize::MAX)
+    }
+
+    /// [`SlowOpLog::to_json`] keeping only the `n` slowest entries.
+    pub fn top_json(&self, n: usize) -> JsonValue {
+        let entries = self.snapshot().iter().take(n).map(SlowOp::to_json).collect();
         JsonValue::obj(vec![
             ("threshold_us", JsonValue::U64(self.threshold_us())),
-            ("entries", JsonValue::Arr(self.snapshot().iter().map(SlowOp::to_json).collect())),
+            ("entries", JsonValue::Arr(entries)),
         ])
     }
 }

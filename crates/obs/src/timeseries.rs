@@ -188,9 +188,9 @@ impl TimeSeries {
 }
 
 /// A background thread invoking a tick closure on a fixed cadence —
-/// the continuous sampler behind `/timeseries`. Stopping (or dropping)
-/// joins the thread; the tick fires once immediately on spawn so even a
-/// short-lived process leaves at least one sample behind.
+/// the continuous sampler behind `/timeseries`, and the flight
+/// recorder's black-box cadence. Stopping (or dropping) joins the
+/// thread.
 #[derive(Debug)]
 pub struct Sampler {
     stop: Arc<AtomicBool>,
@@ -198,9 +198,20 @@ pub struct Sampler {
 }
 
 impl Sampler {
-    /// Spawns the cadence thread. `tick` runs once per `interval` until
-    /// the sampler is stopped or dropped.
+    /// Spawns the cadence thread. `tick` runs once immediately, so even
+    /// a short-lived process leaves at least one sample behind, then
+    /// once per `interval` until the sampler is stopped or dropped.
     pub fn spawn_every(interval: Duration, tick: Box<dyn Fn() + Send>) -> Self {
+        Self::spawn(interval, true, tick)
+    }
+
+    /// [`Sampler::spawn_every`] whose first tick comes one `interval`
+    /// after the spawn, not at it.
+    pub fn spawn_after(interval: Duration, tick: Box<dyn Fn() + Send>) -> Self {
+        Self::spawn(interval, false, tick)
+    }
+
+    fn spawn(interval: Duration, tick_now: bool, tick: Box<dyn Fn() + Send>) -> Self {
         let stop = Arc::new(AtomicBool::new(false));
         let stop_flag = Arc::clone(&stop);
         let handle = std::thread::Builder::new()
@@ -209,8 +220,10 @@ impl Sampler {
                 // Sleep in short slices so stop() returns promptly even
                 // with a long cadence.
                 let slice = Duration::from_millis(25).min(interval);
-                loop {
+                if tick_now {
                     tick();
+                }
+                loop {
                     let waited = Stopwatch::start();
                     while waited.elapsed() < interval {
                         if stop_flag.load(Ordering::Relaxed) {
@@ -218,6 +231,7 @@ impl Sampler {
                         }
                         std::thread::sleep(slice);
                     }
+                    tick();
                 }
             })
             .expect("spawn sampler thread");

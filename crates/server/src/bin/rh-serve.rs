@@ -8,15 +8,17 @@
 //!
 //! Serves an N-shard database (`--shards`, default 1): requests route
 //! by object id, and cross-shard transactions commit through two-phase
-//! commit. Each shard keeps its own file-backed WAL segment directory
-//! and flight-recorder sidecar: `--dir` itself for one shard,
-//! `--dir/shard-K/` for shard K of several.
+//! commit. Each shard keeps its own file-backed WAL segment directory,
+//! whose log also carries the shard's flight-recorder black boxes:
+//! `--dir` itself for one shard, `--dir/shard-K/` for shard K of
+//! several. `rh-postmortem <dir>` renders a shard's boxes.
 //!
 //! An all-empty set of logs is a fresh database. Otherwise a log with
 //! a NULL master record is the crash-restart case: every shard runs
 //! restart recovery in parallel, in-doubt 2PC transactions resolve
-//! against the coordinator records, and the server prints the reports,
-//! so a kill-9'd predecessor's acknowledged commits are back before the
+//! against the coordinator records, and the server prints the reports
+//! — with the log-open time and each shard's restart phases — so a
+//! kill-9'd predecessor's acknowledged commits are back before the
 //! first connection is accepted. A non-NULL master means the directory
 //! was closed by a *graceful* drain-and-checkpoint; its page state lives
 //! in the drained process's disk image, which files alone cannot
@@ -41,6 +43,7 @@
 use rh_core::engine::{DbConfig, Strategy};
 use rh_core::replica::ReplicaSet;
 use rh_core::sharded::{ShardMap, ShardedDb};
+use rh_obs::Stopwatch;
 use rh_server::{ReplRegistry, ReplicaRunner, RunnerConfig, Server, ServerConfig};
 use rh_storage::Disk;
 use rh_wal::StableLog;
@@ -149,7 +152,9 @@ fn open_stables(args: &Args) -> Result<Vec<Arc<StableLog>>, String> {
 /// a fresh database; anything else is a crash-restart, recovered
 /// shard-parallel with in-doubt 2PC resolution.
 fn open_primary(args: &Args) -> Result<ShardedDb, String> {
+    let opened = Stopwatch::start();
     let stables = open_stables(args)?;
+    let open_ms = ms(opened.elapsed());
     let shards = shard_count(args.shards);
     if stables.iter().all(|s| s.is_empty()) {
         println!("rh-serve: fresh database in {} ({shards})", args.dir);
@@ -162,17 +167,25 @@ fn open_primary(args: &Args) -> Result<ShardedDb, String> {
         .map_err(|e| format!("open: {e}"));
     }
     let records: usize = stables.iter().map(|s| s.len()).sum();
-    println!("rh-serve: crash-restart of {} ({shards}, {records} stable records)", args.dir);
+    println!(
+        "rh-serve: crash-restart of {} ({shards}, {records} stable records, log open {open_ms:.3}ms)",
+        args.dir
+    );
     let parts = stables.into_iter().map(|s| (s, Disk::new())).collect();
     let db = ShardedDb::recover(Strategy::Rh, DbConfig::default(), parts, ShardMap::RANGE_SHIFT)
         .map_err(|e| format!("recovery failed: {e}"))?;
     for k in 0..db.shard_count() {
         if let Some(report) = db.shard_recovery(k) {
             println!(
-                "rh-serve: shard {k} recovery: losers={:?} indoubt={:?} coord-commits={}",
+                "rh-serve: shard {k} recovery: losers={:?} indoubt={:?} coord-commits={} \
+                 forward={:.3}ms backward={:.3}ms open={:.3}ms force={:.3}ms",
                 report.losers,
                 report.indoubt,
-                report.coord_commits.len()
+                report.coord_commits.len(),
+                ms(report.forward_wall),
+                ms(report.undo_wall),
+                ms(report.open_wall),
+                ms(report.force_wall),
             );
         }
     }
@@ -183,6 +196,11 @@ fn open_primary(args: &Args) -> Result<ShardedDb, String> {
         stats.counter("shard.indoubt.committed"),
     );
     Ok(db)
+}
+
+/// A wall-clock phase in milliseconds.
+fn ms(d: Duration) -> f64 {
+    d.as_secs_f64() * 1e3
 }
 
 fn die(reason: &str) -> ! {

@@ -25,7 +25,7 @@ use rh_common::{Lsn, ObjectId, Result, RhError, TxnId};
 use rh_core::reenact::Purpose;
 use rh_core::replica::ReplicaSet;
 use rh_core::sharded::ShardedDb;
-use rh_obs::{names, Obs, Stopwatch, TcpService};
+use rh_obs::{names, Obs, Sampler, Stopwatch, TcpService};
 use rh_wal::LogManager;
 use std::collections::{HashMap, HashSet};
 use std::net::{SocketAddr, TcpStream};
@@ -357,6 +357,10 @@ impl Shared {
 pub struct Server {
     shared: Arc<Shared>,
     service: TcpService,
+    /// The flight recorder's black-box cadence: one thread per served
+    /// primary, holding no engine mutex ([`ShardedDb::blackbox_tick`]).
+    /// `None` on a replica, whose log must mirror its primary's exactly.
+    cadence: Option<Sampler>,
 }
 
 impl Server {
@@ -368,9 +372,12 @@ impl Server {
     /// simulates a kill-9).
     ///
     /// A fresh database freezes a "server-start" black box in every
-    /// shard with a flight recorder, so a post-crash incarnation's
-    /// postmortem covers the serving period; one that came out of
-    /// recovery or promotion already froze its own.
+    /// shard with a flight recorder (unforced: it rides the first
+    /// commit's flush), so a post-crash incarnation's postmortem covers
+    /// the serving period; one that came out of recovery or promotion
+    /// already froze its own. From one [`rh_core::flight::CADENCE`]
+    /// after the bind on, every shard whose log grew freezes another box
+    /// per period, until the server stops.
     pub fn bind(addr: &str, db: ShardedDb, cfg: ServerConfig) -> std::io::Result<Server> {
         Self::bind_with_repl(addr, db, cfg, Arc::new(ReplRegistry::new()))
     }
@@ -387,10 +394,19 @@ impl Server {
     ) -> std::io::Result<Server> {
         let recovered = (0..db.shard_count()).any(|k| db.shard_recovery(k).is_some());
         if !recovered {
-            db.record_blackbox_all("server-start");
+            db.freeze_blackbox_all("server-start");
         }
         let obs = Arc::clone(db.obs());
-        Self::bind_backend(addr, Backend::Primary(Arc::new(db)), obs, recovered, cfg, repl)
+        let db = Arc::new(db);
+        let mut server =
+            Self::bind_backend(addr, Backend::Primary(Arc::clone(&db)), obs, recovered, cfg, repl)?;
+        // The first tick comes one period after the bind, never on the
+        // restart path the bind completes.
+        server.cadence = Some(Sampler::spawn_after(
+            rh_core::flight::CADENCE,
+            Box::new(move || db.blackbox_tick()),
+        ));
+        Ok(server)
     }
 
     /// Binds `addr` and serves a read replica: reads, staleness-bounded
@@ -438,7 +454,7 @@ impl Server {
             "rh-serve",
             Box::new(move |stream| conn::accept(&on_conn, stream)),
         )?;
-        Ok(Server { shared, service })
+        Ok(Server { shared, service, cadence: None })
     }
 
     /// The bound listen address.
@@ -507,7 +523,8 @@ impl Server {
     /// The common drain: refuse new work, close sessions, abort
     /// leftovers, checkpoint, and unwrap the shared state.
     fn drain(server: Server) -> Result<Backend> {
-        let Server { shared, mut service } = server;
+        let Server { shared, mut service, cadence } = server;
+        drop(cadence);
         shared.draining.store(true, Ordering::SeqCst);
         service.shutdown();
         {
@@ -540,7 +557,8 @@ impl Server {
     /// next incarnation from the stable logs (and disks) the caller
     /// kept, as a restarted machine would.
     pub fn force_stop(self) {
-        let Server { shared, mut service } = self;
+        let Server { shared, mut service, cadence } = self;
+        drop(cadence);
         shared.killed.store(true, Ordering::SeqCst);
         shared.draining.store(true, Ordering::SeqCst);
         service.shutdown();

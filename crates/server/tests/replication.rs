@@ -350,3 +350,81 @@ fn kill9_mid_cross_shard_delegation_promote_satisfies_the_oracle() {
     // And the consumed replica set refuses further reads.
     assert!(set.value_of(EVEN).is_err(), "promoted set must not serve replica reads");
 }
+
+/// One HTTP GET against an introspection endpoint, parsed as JSON.
+fn http_get_json(addr: SocketAddr, path: &str) -> rh_obs::JsonValue {
+    use std::io::{Read, Write};
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    write!(stream, "GET {path} HTTP/1.0\r\n\r\n").expect("send");
+    let mut raw = String::new();
+    stream.read_to_string(&mut raw).expect("receive");
+    let (head, body) = raw.split_once("\r\n\r\n").expect("header/body split");
+    assert!(head.starts_with("HTTP/1.0 200"), "GET {path}: {head}");
+    rh_obs::json::parse(body).expect("json body")
+}
+
+#[test]
+fn promoted_replica_serves_the_dead_primarys_newest_black_box() {
+    // A file-backed primary freezes black boxes into its log; they ship
+    // with every other record, so once the primary is killed the
+    // promoted replica's `/postmortem` explains it.
+    let dir = scratch("postmortem");
+    let db = RhDb::with_stable_log(
+        Strategy::Rh,
+        DbConfig::default(),
+        StableLog::open_dir(&dir).expect("open primary log"),
+    );
+    let primary = Server::bind("127.0.0.1:0", ShardedDb::from(db), ServerConfig::default())
+        .expect("bind primary");
+    let set = Arc::new(ReplicaSet::new_mem(Strategy::Rh, 1, 0));
+    let registry = Arc::new(ReplRegistry::new());
+    let runner = ReplicaRunner::start(
+        Arc::clone(&set),
+        Arc::clone(&registry),
+        primary.local_addr().to_string(),
+        quick_runner(Some(3)),
+    );
+
+    // Commits carry the primary's "server-start" box to disk, and so
+    // down the stream.
+    let mut p = connect(primary.local_addr());
+    let mut id = 0u64;
+    for v in 1..=5 {
+        id += 1;
+        let t = ok_txn(call(&mut p, id, Op::Begin));
+        id += 1;
+        assert_eq!(call(&mut p, id, Op::Write(t, EVEN, v)), Reply::Ok(ReplyBody::Unit));
+        id += 1;
+        assert_eq!(call(&mut p, id, Op::Commit(t)), Reply::Ok(ReplyBody::Unit));
+    }
+    id += 1;
+    let durable = match call(&mut p, id, Op::Durable(EVEN)) {
+        Reply::Ok(ReplyBody::Token(lsn)) => lsn,
+        other => panic!("expected a durable watermark, got {other:?}"),
+    };
+    assert!(
+        wait_until(5, || set.applied_lsn(0).is_ok_and(|l| l.raw() >= durable)),
+        "replica never applied the primary's durable prefix"
+    );
+    primary.force_stop();
+    assert!(wait_until(10, || runner.source_lost()), "source loss never detected");
+    runner.stop();
+
+    let newest = rh_core::flight::boxes_in_dir(&dir)
+        .expect("primary log dir")
+        .pop()
+        .expect("the primary froze a black box");
+    assert!(newest.seq < durable, "the newest box was shipped before the kill");
+    let db = set.promote().expect("promote");
+    let addr = db.serve_introspection("127.0.0.1:0").expect("introspection");
+    let pm = http_get_json(addr, "/postmortem");
+    let pred = pm.as_arr().and_then(|shards| shards.first()).and_then(|s| s.get("predecessor"));
+    let pred = pred.expect("the promoted replica serves the primary's postmortem");
+    assert_eq!(pred.get("seq").and_then(rh_obs::JsonValue::as_u64), Some(newest.seq));
+    assert_eq!(
+        pred.get("reason").and_then(rh_obs::JsonValue::as_str),
+        Some(newest.reason.as_str())
+    );
+    db.stop_introspection();
+    std::fs::remove_dir_all(&dir).unwrap();
+}

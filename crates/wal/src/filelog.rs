@@ -34,7 +34,7 @@
 
 use crate::frame;
 use crate::io::{StdIo, WalFile, WalIo};
-use crate::segment::{self, FrameLoc};
+use crate::segment;
 use parking_lot::Mutex;
 use rh_common::{Lsn, Result, RhError};
 use rh_obs::names;
@@ -102,22 +102,17 @@ struct OpenSegment {
     len: u64,
 }
 
-/// Where one record's frame lives.
-#[derive(Debug, Clone, Copy)]
-struct RecLoc {
-    seg_first: u64,
-    offset: u64,
-    payload_len: u32,
-}
-
 #[derive(Debug)]
 struct State {
     /// LSN of the oldest retained record (= first segment's name).
     base: u64,
     /// Open segments in LSN order; the last is the active one.
     segments: VecDeque<OpenSegment>,
-    /// `index[i]` locates the record with LSN `base + i`.
-    index: VecDeque<RecLoc>,
+    /// `index[i]` is the byte offset of the frame of the record with LSN
+    /// `base + i` within its segment — all the log keeps in memory per
+    /// record. The segment follows from the LSN, and the frame ends where
+    /// the segment's next frame (or its valid bytes) begins.
+    index: VecDeque<u64>,
 }
 
 /// The file-backed stable log. See the module docs for the protocol.
@@ -171,7 +166,7 @@ impl SegmentedFileLog {
 
         let mut report = OpenReport::default();
         let mut segments: VecDeque<OpenSegment> = VecDeque::new();
-        let mut index: VecDeque<RecLoc> = VecDeque::new();
+        let mut index: VecDeque<u64> = VecDeque::new();
         let base = names.first().copied().unwrap_or(0);
         let mut expected = base;
         let mut stop_at: Option<usize> = None;
@@ -188,13 +183,7 @@ impl SegmentedFileLog {
             let file_len = file.len().map_err(|_| storage("cannot stat log segment"))?;
             let scan =
                 segment::scan_segment(&*file).map_err(|_| storage("cannot read log segment"))?;
-            for FrameLoc { offset, payload_len } in &scan.frames {
-                index.push_back(RecLoc {
-                    seg_first: first,
-                    offset: *offset,
-                    payload_len: *payload_len,
-                });
-            }
+            index.extend(scan.frames.iter().map(|f| f.offset));
             expected = first + scan.frames.len() as u64;
             if scan.torn {
                 // Torn tail: cut it, make the cut durable, and drop any
@@ -243,19 +232,6 @@ impl SegmentedFileLog {
     /// What the open scan found and repaired.
     pub fn open_report(&self) -> OpenReport {
         self.report
-    }
-
-    /// The directory holding this log's segments and master record.
-    /// Sidecar streams (the flight recorder's black box) locate their own
-    /// subdirectory relative to this.
-    pub fn dir(&self) -> &std::path::Path {
-        &self.dir
-    }
-
-    /// The I/O layer this log was opened through. Sidecar streams share
-    /// it so fault injection covers both streams with one injector.
-    pub fn io(&self) -> Arc<dyn WalIo> {
-        Arc::clone(&self.io)
     }
 
     fn load_master(io: &dyn WalIo, dir: &std::path::Path, base: u64, horizon: u64) -> Lsn {
@@ -354,13 +330,9 @@ impl SegmentedFileLog {
 
         let active = st.segments.back_mut().ok_or_else(|| storage("log has no active segment"))?;
         write_all(&*active.file, active.len, &framed)?;
-        let loc = RecLoc {
-            seg_first: active.first_lsn,
-            offset: active.len,
-            payload_len: payload.len() as u32,
-        };
+        let offset = active.len;
         active.len += framed.len() as u64;
-        st.index.push_back(loc);
+        st.index.push_back(offset);
         Ok(out)
     }
 
@@ -377,33 +349,42 @@ impl SegmentedFileLog {
         Ok(1)
     }
 
-    fn locate(&self, lsn: Lsn) -> Result<(Arc<dyn WalFile>, RecLoc)> {
+    /// The segment file holding record `lsn`, its frame's offset there,
+    /// and its payload length.
+    fn locate(&self, lsn: Lsn) -> Result<(Arc<dyn WalFile>, u64, usize)> {
         let st = self.state.lock();
         if lsn.raw() < st.base {
             return Err(RhError::CorruptLog { lsn, reason: "read below truncation point" });
         }
         let idx = (lsn.raw() - st.base) as usize;
-        let loc = *st
+        let offset = *st
             .index
             .get(idx)
             .ok_or(RhError::CorruptLog { lsn, reason: "read past end of log" })?;
-        // Segments are few (log_bytes / segment_bytes); a linear probe
-        // from the back wins for the common recent-record case.
-        let seg =
-            st.segments.iter().rev().find(|s| s.first_lsn == loc.seg_first).ok_or(
-                RhError::CorruptLog { lsn, reason: "index entry points into a dead segment" },
-            )?;
-        Ok((Arc::clone(&seg.file), loc))
+        let dead = RhError::CorruptLog { lsn, reason: "index entry points into a dead segment" };
+        let seg_idx =
+            st.segments.partition_point(|s| s.first_lsn <= lsn.raw()).checked_sub(1).ok_or(dead)?;
+        let seg = &st.segments[seg_idx];
+        let last_in_segment =
+            st.segments.get(seg_idx + 1).is_some_and(|next| next.first_lsn == lsn.raw() + 1);
+        let end = match st.index.get(idx + 1) {
+            Some(&next) if !last_in_segment => next,
+            _ => seg.len,
+        };
+        let payload_len = (end.checked_sub(offset))
+            .and_then(|frame_len| frame_len.checked_sub(frame::HEADER_LEN as u64))
+            .ok_or(RhError::CorruptLog { lsn, reason: "index entries out of order" })?;
+        Ok((Arc::clone(&seg.file), offset, payload_len as usize))
     }
 
     pub(crate) fn read_encoded(&self, lsn: Lsn) -> Result<Arc<[u8]>> {
-        let (file, loc) = self.locate(lsn)?;
-        let total = frame::HEADER_LEN + loc.payload_len as usize;
+        let (file, offset, payload_len) = self.locate(lsn)?;
+        let total = frame::HEADER_LEN + payload_len;
         let mut buf = vec![0u8; total];
         let mut read = 0usize;
         while read < total {
             let n = file
-                .read_at(loc.offset + read as u64, &mut buf[read..])
+                .read_at(offset + read as u64, &mut buf[read..])
                 .map_err(|_| RhError::CorruptLog { lsn, reason: "log read failed" })?;
             if n == 0 {
                 return Err(RhError::CorruptLog { lsn, reason: "log file shorter than index" });
@@ -425,11 +406,11 @@ impl SegmentedFileLog {
     /// fixed-width fields), and the mem backend keeps full generality for
     /// unit tests.
     pub(crate) fn rewrite_encoded(&self, lsn: Lsn, payload: &[u8]) -> Result<()> {
-        let (file, loc) = self.locate(lsn)?;
-        if payload.len() != loc.payload_len as usize {
+        let (file, offset, payload_len) = self.locate(lsn)?;
+        if payload.len() != payload_len {
             return Err(storage("file-backed log rewrites must preserve record length"));
         }
-        write_all(&*file, loc.offset, &frame::encode(payload))
+        write_all(&*file, offset, &frame::encode(payload))
     }
 
     /// Drops whole segments whose every record has LSN `< upto`. The file
@@ -513,6 +494,10 @@ mod tests {
         }
         log.sync().unwrap();
         assert!(log.state.lock().segments.len() > 1, "expected a roll");
+        // Every frame's length follows from the index alone, across rolls.
+        for i in 0..20u64 {
+            assert_eq!(&*log.read_encoded(Lsn(i)).unwrap(), payload(i).as_slice());
+        }
         drop(log);
 
         let log2 = SegmentedFileLog::open_with(Arc::new(StdIo), cfg).unwrap();

@@ -26,18 +26,63 @@ pub const HEADER_LEN: usize = 8;
 /// chase a multi-gigabyte phantom frame.
 pub const MAX_PAYLOAD: u32 = 1 << 28; // 256 MiB
 
+/// The reflected IEEE 802.3 polynomial.
+const POLY: u32 = 0xEDB8_8320;
+
+/// Slice-by-8 lookup tables, built at compile time. `CRC_TABLES[0]` is
+/// the classic byte-at-a-time table; `CRC_TABLES[k][b]` is the CRC of
+/// byte `b` followed by `k` zero bytes, so eight table lookups fold
+/// eight input bytes at once.
+const CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
+    // Row by row: row `k` is row `k - 1` advanced through one zero byte.
+    let mut i = 0;
+    while i < 8 * 256 {
+        let (k, b) = (i / 256, i % 256);
+        t[k][b] = if k == 0 {
+            crc32_bitwise_byte(b as u32)
+        } else {
+            (t[k - 1][b] >> 8) ^ t[0][(t[k - 1][b] & 0xFF) as usize]
+        };
+        i += 1;
+    }
+    t
+}
+
+/// Eight rounds of the bitwise CRC-32 over the low byte of `crc`.
+const fn crc32_bitwise_byte(mut crc: u32) -> u32 {
+    let mut bit = 0;
+    while bit < 8 {
+        crc = (crc >> 1) ^ (POLY & (crc & 1).wrapping_neg());
+        bit += 1;
+    }
+    crc
+}
+
 /// CRC-32 (IEEE, reflected, init/final `0xFFFF_FFFF`) of `data`.
+///
+/// Every segment-open scan, stable read, wire frame and shipped replica
+/// frame checksums through here, so it is on the restart path: the
+/// slice-by-8 form runs about eight times faster than the bitwise loop.
 pub fn crc32(data: &[u8]) -> u32 {
-    // Tableless bitwise form; the log's payloads are tens of bytes, so
-    // this is nowhere near any profile. 0xEDB88320 is the reflected
-    // IEEE 802.3 polynomial.
+    let t = &CRC_TABLES;
     let mut crc = !0u32;
-    for &byte in data {
-        crc ^= u32::from(byte);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
+    let mut chunks = data.chunks_exact(8);
+    for c in &mut chunks {
+        let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][usize::from(c[4])]
+            ^ t[2][usize::from(c[5])]
+            ^ t[1][usize::from(c[6])]
+            ^ t[0][usize::from(c[7])];
+    }
+    for &byte in chunks.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ u32::from(byte)) & 0xFF) as usize];
     }
     !crc
 }
@@ -101,11 +146,29 @@ pub fn decode(buf: &[u8]) -> Decoded<'_> {
 mod tests {
     use super::*;
 
+    /// The tableless bitwise CRC-32: the oracle the table-driven form
+    /// must match.
+    fn crc32_bitwise(data: &[u8]) -> u32 {
+        !data.iter().fold(!0u32, |crc, &b| crc32_bitwise_byte(crc ^ u32::from(b)))
+    }
+
     #[test]
     fn crc32_matches_known_vectors() {
         // Standard check value for CRC-32/IEEE.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+        assert_eq!(crc32_bitwise(b"123456789"), 0xCBF4_3926);
+    }
+
+    #[test]
+    fn crc32_matches_the_bitwise_oracle_at_every_length() {
+        // Every length 0..=4096 exercises every remainder after the
+        // 8-byte chunks, over a fixed pseudo-random byte stream.
+        let data: Vec<u8> =
+            (0..=4096u32).map(|i| (i.wrapping_mul(0x9E37_79B1) >> 13) as u8).collect();
+        for len in 0..=4096 {
+            assert_eq!(crc32(&data[..len]), crc32_bitwise(&data[..len]), "length {len}");
+        }
     }
 
     #[test]

@@ -100,7 +100,7 @@ impl LogIndex {
             | RecordBody::Prepare
             | RecordBody::End => push(self.txns.entry(rec.txn).or_default(), lsn, entries),
             RecordBody::CheckpointEnd { .. } => push(&mut self.checkpoints, lsn, entries),
-            RecordBody::Begin | RecordBody::CheckpointBegin => {}
+            RecordBody::Begin | RecordBody::CheckpointBegin | RecordBody::BlackBox { .. } => {}
         }
         self.next = lsn.raw() + 1;
     }

@@ -28,10 +28,12 @@
 //! record framing), [`segment`] (segment files + torn-tail scanning),
 //! [`filelog`] (the [`filelog::SegmentedFileLog`] directory layout and
 //! master record), and [`io`] (the filesystem seam, including the
-//! fault-injecting [`io::FaultIo`] the crash tests are built on). The
-//! [`sidecar`] module reuses that machinery for the flight recorder's
-//! black-box stream — an independent `obs/` segment stream next to the
-//! log, with the same torn-tail guarantees.
+//! fault-injecting [`io::FaultIo`] the crash tests are built on).
+//!
+//! The flight recorder's black boxes ride this one log as
+//! non-transactional [`RecordBody::BlackBox`] records, so they share its
+//! framing, torn-tail repair, retention and replication: there is no
+//! second durable stream.
 
 pub mod chain;
 pub mod filelog;
@@ -42,7 +44,6 @@ pub mod log;
 pub mod metrics;
 pub mod record;
 pub mod segment;
-pub mod sidecar;
 
 pub use chain::BackwardChainIter;
 pub use filelog::{FileLogConfig, OpenReport, SegmentedFileLog};
@@ -50,4 +51,3 @@ pub use io::{FaultInjector, FaultIo, StdIo, WalFile, WalIo};
 pub use log::{LogManager, StableLog};
 pub use metrics::{LogMetrics, LogMetricsSnapshot};
 pub use record::{DelegateBody, LogRecord, RecordBody};
-pub use sidecar::SidecarLog;

@@ -183,26 +183,6 @@ impl StableLog {
         }
     }
 
-    /// The log directory (file backend only; `None` for the in-memory
-    /// backend). Sidecar streams — the flight recorder's black box —
-    /// anchor their own subdirectory here.
-    pub fn dir(&self) -> Option<&std::path::Path> {
-        match &self.backend {
-            Backend::Mem(_) => None,
-            Backend::File(f) => Some(f.dir()),
-        }
-    }
-
-    /// The I/O layer behind the file backend (`None` for in-memory).
-    /// Sidecar streams opened through the same layer share any fault
-    /// injector with the main log.
-    pub fn io(&self) -> Option<std::sync::Arc<dyn crate::io::WalIo>> {
-        match &self.backend {
-            Backend::Mem(_) => None,
-            Backend::File(f) => Some(f.io()),
-        }
-    }
-
     /// Reads the master record (NULL when no checkpoint was ever taken).
     pub fn master(&self) -> Lsn {
         match &self.backend {

@@ -109,6 +109,14 @@ pub enum RecordBody {
         /// so recovery knows which logs hold `Prepare` records to resolve.
         participants: Vec<u32>,
     },
+    /// A flight-recorder black box: observability state frozen for a
+    /// postmortem, riding the log like a `CheckpointEnd` (no
+    /// transaction, NULL `prev_lsn`, opaque payload). No state moves
+    /// through it; recovery keeps only the newest one it passes.
+    BlackBox {
+        /// Encoded black-box record (`rh_obs::blackbox`).
+        payload: Vec<u8>,
+    },
 }
 
 impl RecordBody {
@@ -126,6 +134,7 @@ impl RecordBody {
             RecordBody::CheckpointEnd { .. } => "chkpt-end",
             RecordBody::Prepare => "prepare",
             RecordBody::CoordCommit { .. } => "coord-commit",
+            RecordBody::BlackBox { .. } => "blackbox",
         }
     }
 }
@@ -138,7 +147,7 @@ pub struct LogRecord {
     pub lsn: Lsn,
     /// The transaction that created the record (the paper's Trans-ID). For
     /// delegate records this is the **delegator** (`tor` in Fig. 6).
-    /// [`TxnId::NONE`] for checkpoint records.
+    /// [`TxnId::NONE`] for checkpoint and black-box records.
     pub txn: TxnId,
     /// Backward-chain pointer: the previous record of `txn`, NULL if this
     /// is the transaction's first record. For delegate records this is
@@ -243,6 +252,10 @@ impl Codec for RecordBody {
                 w.put_u8(10);
                 participants.encode(w);
             }
+            RecordBody::BlackBox { payload } => {
+                w.put_u8(11);
+                w.put_bytes(payload);
+            }
         }
     }
 
@@ -268,6 +281,7 @@ impl Codec for RecordBody {
             8 => RecordBody::CheckpointEnd { payload: r.take_bytes()? },
             9 => RecordBody::Prepare,
             10 => RecordBody::CoordCommit { participants: Vec::decode(r)? },
+            11 => RecordBody::BlackBox { payload: r.take_bytes()? },
             _ => return Err(RhError::Codec("invalid RecordBody tag")),
         })
     }
@@ -332,6 +346,7 @@ mod tests {
         roundtrip(base(RecordBody::Prepare));
         roundtrip(base(RecordBody::CoordCommit { participants: vec![0, 2, 3] }));
         roundtrip(base(RecordBody::CoordCommit { participants: Vec::new() }));
+        roundtrip(base(RecordBody::BlackBox { payload: b"{}".to_vec() }));
     }
 
     #[test]

@@ -8,10 +8,10 @@
 //! The first incarnation runs a two-hop delegation chain over a ledger
 //! object, freezes a flight-recorder black box, and "crashes" while the
 //! final delegatee is still active. The second incarnation recovers from
-//! the log, loads the predecessor's black box from the `obs/` sidecar
-//! stream, and prints: the rebuilt provenance chain of the delegated
-//! object, the predecessor's last 20 trace spans, and the postmortem
-//! counter diff. The log directory is left at
+//! the log — whose forward pass also finds the predecessor's newest black
+//! box, a record in that same log — and prints: the rebuilt provenance
+//! chain of the delegated object, the predecessor's last 20 trace spans,
+//! and the postmortem counter diff. The log directory is left at
 //! `target/obs/postmortem_demo` so `rh-postmortem` can be pointed at it
 //! afterwards (CI does exactly that).
 
