@@ -23,7 +23,6 @@
 //!   This is the failover outage floor — what promote-on-failure costs
 //!   *after* the failure has been detected.
 
-use rh_common::codec::Codec;
 use rh_common::{Lsn, ObjectId, Value};
 use rh_core::engine::{RhDb, Strategy};
 use rh_core::replica::ReplicaSet;
@@ -50,12 +49,11 @@ pub fn build() -> ReplFixture {
     db.log().flush_all().expect("bench flush");
     let log = db.log();
     let mut frames = Vec::new();
-    let mut lsn = Lsn(0);
-    while lsn.raw() < log.durable_len() {
-        let rec = log.read(lsn).expect("bench record readable");
-        frames.push((lsn, rec.to_bytes()));
-        lsn = lsn.next();
-    }
+    log.scan_bytes(Lsn(0), Lsn(log.durable_len()), |lsn, bytes| {
+        frames.push((lsn, bytes.to_vec()));
+        Ok(())
+    })
+    .expect("bench records readable");
     ReplFixture { frames }
 }
 

@@ -159,10 +159,8 @@ impl EagerDb {
         let mut compensated: HashSet<Lsn> = HashSet::new();
         let mut last_lsns: HashMap<TxnId, Lsn> = HashMap::new();
         let mut next_txn = 0u64;
-        let end = log.curr_lsn();
-        let mut lsn = Lsn::FIRST;
-        while lsn < end {
-            let rec = log.read(lsn)?;
+        log.scan(Lsn::FIRST, log.curr_lsn(), |rec| {
+            let lsn = rec.lsn;
             if !rec.txn.is_none() {
                 seen.insert(rec.txn);
                 last_lsns.insert(rec.txn, lsn);
@@ -200,8 +198,8 @@ impl EagerDb {
                 // moved the history; Begin/checkpoints carry no state.
                 _ => {}
             }
-            lsn = lsn.next();
-        }
+            Ok(())
+        })?;
 
         // Backward pass: undo loser-owned records in one global
         // descending order (random access pattern — these are exact

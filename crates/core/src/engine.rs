@@ -368,16 +368,17 @@ impl RhDb {
         self.tr.len()
     }
 
-    /// Renders the whole log, one record per line (Fig. 2-style dumps).
+    /// Renders the whole log, one record per line (Fig. 2-style dumps);
+    /// a record that fails its checks ends the dump as `<unreadable>`.
     pub fn dump_log(&self) -> Vec<String> {
+        let first = self.log.first_lsn().raw();
         let mut out = Vec::with_capacity(self.log.len());
-        let mut lsn = self.log.first_lsn();
-        while lsn < self.log.curr_lsn() {
-            match self.log.read(lsn) {
-                Ok(rec) => out.push(rec.render()),
-                Err(_) => out.push(format!("{} <unreadable>", lsn.raw())),
-            }
-            lsn = lsn.next();
+        let scanned = self.log.scan(Lsn(first), self.log.curr_lsn(), |rec| {
+            out.push(rec.render());
+            Ok(())
+        });
+        if scanned.is_err() {
+            out.push(format!("{} <unreadable>", first + out.len() as u64));
         }
         out
     }

@@ -135,9 +135,7 @@ pub fn boxes_in_dir(dir: &Path) -> std::io::Result<Vec<BlackBoxRecord>> {
     let mut boxes = Vec::new();
     for seg in segments {
         let bytes = std::fs::read(&seg)?;
-        let mut pos = 0;
-        while let frame::Decoded::Valid { payload, frame_len } = frame::decode(&bytes[pos..]) {
-            pos += frame_len;
+        for (_, payload) in frame::frames(&bytes) {
             if let Ok(LogRecord { lsn, body: RecordBody::BlackBox { payload }, .. }) =
                 LogRecord::from_bytes(payload)
             {

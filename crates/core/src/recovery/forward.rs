@@ -17,6 +17,9 @@
 //! * collects the LSNs compensated by CLRs, so a backward pass after a
 //!   crash-during-recovery never undoes the same update twice.
 //!
+//! The sweep is one [`LogManager::scan`]: one positioned read per run of
+//! frames, not per record ([`ForwardStats::stable_reads`]).
+//!
 //! The analysis of one record is [`ForwardOutcome::apply`], the log's
 //! one record interpreter. Three callers run records through it, each
 //! with its own [`Replay`] observer: this pass and a read replica
@@ -45,6 +48,9 @@ pub struct ForwardStats {
     pub analysis_from: Lsn,
     /// Records visited by the scan.
     pub records_scanned: u64,
+    /// Positioned log reads the scan issued (file-backed logs only): one
+    /// per run of frames, not one per record.
+    pub stable_reads: u64,
     /// Updates/CLRs actually reapplied to pages.
     pub redone: u64,
     /// Commit records seen (winners).
@@ -262,24 +268,23 @@ pub fn forward_pass(
 
     // ---- the single sweep ----------------------------------------------
     let mut redo = Redo { log, pool, obs, span: Some(&span) };
-    let end = log.curr_lsn();
-    let mut lsn = redo_from;
-    while lsn < end {
-        let rec = log.read(lsn)?;
+    let reads_before = log.metrics().snapshot().stable_reads;
+    log.scan(redo_from, log.curr_lsn(), |rec| {
         fwd.stats.records_scanned += 1;
-        if lsn >= analysis_from {
+        if rec.lsn >= analysis_from {
             fwd.apply(&rec, &mut redo)?;
         } else if let RecordBody::Update { ob, op } | RecordBody::Clr { ob, op, .. } = &rec.body {
             // Redo-only region: state changes here — the id high-water
             // mark included — are already reflected in the checkpoint
             // snapshot; only page contents may lag.
-            fwd.stats.redone += u64::from(redo.redo(lsn, *ob, op)?);
+            fwd.stats.redone += u64::from(redo.redo(rec.lsn, *ob, op)?);
             if let RecordBody::Clr { compensated: c, .. } = &rec.body {
                 fwd.compensated.insert(*c);
             }
         }
-        lsn = lsn.next();
-    }
+        Ok(())
+    })?;
+    fwd.stats.stable_reads = log.metrics().snapshot().stable_reads - reads_before;
     Ok(fwd)
 }
 

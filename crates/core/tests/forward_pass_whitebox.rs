@@ -147,3 +147,34 @@ fn checkpoint_snapshot_restores_delegated_scopes() {
     assert!(report.forward.records_scanned <= 2, "analysis must start at the checkpoint");
     assert_eq!(report.undo.undone, 1);
 }
+
+#[test]
+fn forward_pass_reads_a_file_log_in_runs_of_frames() {
+    let dir = std::env::temp_dir().join(format!("rh-forward-runs-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let log = LogManager::attach(rh_wal::StableLog::open_dir(&dir).unwrap());
+    for t in 0..1_500u64 {
+        let begin = log.append(TxnId(t), Lsn::NULL, RecordBody::Begin);
+        let upd = log.append(TxnId(t), begin, add(ObjectId(t % 64), 1));
+        if t != 700 {
+            log.append(TxnId(t), upd, RecordBody::Commit);
+        }
+    }
+    log.flush_all().unwrap();
+    let records = log.len() as u64;
+    drop(log);
+    let segment_bytes = std::fs::metadata(dir.join("00000000000000000000.seg")).unwrap().len();
+
+    let stable = rh_wal::StableLog::open_dir(&dir).unwrap();
+    let db = RhDb::recover(Strategy::Rh, DbConfig::default(), stable, Disk::new()).unwrap();
+    let report = db.last_recovery().unwrap();
+    assert_eq!(report.forward.records_scanned, records);
+    // One positioned read per 64 KiB run, not one per record.
+    let runs = segment_bytes.div_ceil(64 << 10);
+    assert!(report.forward.stable_reads >= 1);
+    assert!(report.forward.stable_reads <= runs + 1, "{} reads", report.forward.stable_reads);
+    // Every record is still counted as one read.
+    assert_eq!(report.undo.undone, 1);
+    assert_eq!(report.log_delta.records_read, report.forward.records_scanned + report.undo.visited);
+    let _ = std::fs::remove_dir_all(&dir);
+}

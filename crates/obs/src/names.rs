@@ -221,6 +221,8 @@ pub const M_LOG_FLUSHES: &str = "log.flushes";
 pub const M_LOG_RECORDS_FLUSHED: &str = "log.records_flushed";
 /// Records read back from the log.
 pub const M_LOG_RECORDS_READ: &str = "log.records_read";
+/// Positioned reads of log segment files (reads and scans).
+pub const M_LOG_STABLE_READS: &str = "log.stable_reads";
 /// Non-sequential log accesses.
 pub const M_LOG_SEEKS: &str = "log.seeks";
 /// In-place log rewrites (zero under ARIES/RH; the baselines pay these).

@@ -178,10 +178,12 @@ fn open_primary(args: &Args) -> Result<ShardedDb, String> {
         if let Some(report) = db.shard_recovery(k) {
             println!(
                 "rh-serve: shard {k} recovery: losers={:?} indoubt={:?} coord-commits={} \
-                 forward={:.3}ms backward={:.3}ms open={:.3}ms force={:.3}ms",
+                 records={} reads={} forward={:.3}ms backward={:.3}ms open={:.3}ms force={:.3}ms",
                 report.losers,
                 report.indoubt,
                 report.coord_commits.len(),
+                report.forward.records_scanned,
+                report.forward.stable_reads,
                 ms(report.forward_wall),
                 ms(report.undo_wall),
                 ms(report.open_wall),

@@ -26,7 +26,7 @@ use crate::server::Shared;
 use crate::wire::{self, errcode, Hello, Op, ReplMsg, Reply, ReplyBody, Request, Response};
 use rh_common::codec::Codec;
 use rh_common::ops::Value;
-use rh_common::{Lsn, Result, TxnId};
+use rh_common::{Lsn, Result, RhError, TxnId};
 use rh_obs::{names, Stopwatch};
 use rh_wal::{frame, LogManager};
 use std::collections::VecDeque;
@@ -161,7 +161,7 @@ fn read_requests(
         }
         // Stop at the first frame not wholly received: reading it could
         // block.
-        if !matches!(frame::decode(conn.buffer()), frame::Decoded::Valid { .. }) {
+        if frame::frames(conn.buffer()).next().is_none() {
             return true;
         }
     }
@@ -466,23 +466,18 @@ fn ship_loop(shared: &Shared, log: &LogManager, sub: u64, from: Lsn, out: &TcpSt
         let durable = log.wait_durable(next.0 + 1, SHIP_HEARTBEAT);
         if durable > next.0 {
             let mut shipped = 0u64;
-            let mut alive = true;
-            while next.0 < durable {
-                let Ok(rec) = log.read(next) else {
-                    alive = false;
-                    break;
-                };
-                let msg = ReplMsg::Frame { lsn: next, record: rec.to_bytes() };
-                if !send_msg(out, &msg) {
-                    alive = false;
-                    break;
+            // The stored bytes go out as they are: no decode, no re-encode.
+            let streamed = log.scan_bytes(next, Lsn(durable), |lsn, record| {
+                if !send_msg(out, &ReplMsg::Frame { lsn, record: record.to_vec() }) {
+                    return Err(RhError::Protocol("replica stream closed"));
                 }
-                next = next.next();
+                next = lsn.next();
                 shipped += 1;
-            }
+                Ok(())
+            });
             shared.repl.shipped(sub, next, shipped);
             shared.obs.registry.add(names::M_REPL_FRAMES_SHIPPED, shipped);
-            if !alive {
+            if streamed.is_err() {
                 break;
             }
         } else {

@@ -34,6 +34,7 @@
 
 use crate::frame;
 use crate::io::{StdIo, WalFile, WalIo};
+use crate::metrics::LogMetrics;
 use crate::segment;
 use parking_lot::Mutex;
 use rh_common::{Lsn, Result, RhError};
@@ -83,6 +84,14 @@ pub struct OpenReport {
     /// Segment files deleted because a tear or gap orphaned them.
     pub segments_removed: u64,
 }
+
+/// Most bytes one positioned read of a scan asks for. Runs hold whole
+/// frames, so a larger frame is read whole, alone.
+const RUN_BYTES: u64 = 64 << 10;
+
+/// A run of frames: the segment file, the byte offset of the first frame
+/// there, the bytes the frames span, and how many records they hold.
+type Run = (Arc<dyn WalFile>, u64, usize, u64);
 
 /// Byte cost of an append, for the caller's metrics.
 #[derive(Debug, Default, Clone, Copy)]
@@ -183,7 +192,7 @@ impl SegmentedFileLog {
             let file_len = file.len().map_err(|_| storage("cannot stat log segment"))?;
             let scan =
                 segment::scan_segment(&*file).map_err(|_| storage("cannot read log segment"))?;
-            index.extend(scan.frames.iter().map(|f| f.offset));
+            index.extend(&scan.frames);
             expected = first + scan.frames.len() as u64;
             if scan.torn {
                 // Torn tail: cut it, make the cut durable, and drop any
@@ -349,9 +358,10 @@ impl SegmentedFileLog {
         Ok(1)
     }
 
-    /// The segment file holding record `lsn`, its frame's offset there,
-    /// and its payload length.
-    fn locate(&self, lsn: Lsn) -> Result<(Arc<dyn WalFile>, u64, usize)> {
+    /// The run of frames from record `lsn` toward `end` (exclusive):
+    /// consecutive records of `lsn`'s segment whose frames span at most
+    /// [`RUN_BYTES`], and at least the frame of `lsn` itself.
+    fn locate(&self, lsn: Lsn, end: u64) -> Result<Run> {
         let st = self.state.lock();
         if lsn.raw() < st.base {
             return Err(RhError::CorruptLog { lsn, reason: "read below truncation point" });
@@ -361,42 +371,72 @@ impl SegmentedFileLog {
             .index
             .get(idx)
             .ok_or(RhError::CorruptLog { lsn, reason: "read past end of log" })?;
-        let dead = RhError::CorruptLog { lsn, reason: "index entry points into a dead segment" };
-        let seg_idx =
-            st.segments.partition_point(|s| s.first_lsn <= lsn.raw()).checked_sub(1).ok_or(dead)?;
-        let seg = &st.segments[seg_idx];
-        let last_in_segment =
-            st.segments.get(seg_idx + 1).is_some_and(|next| next.first_lsn == lsn.raw() + 1);
-        let end = match st.index.get(idx + 1) {
-            Some(&next) if !last_in_segment => next,
+        // The first segment starts at `base`, so `lsn` lies in this one.
+        let seg_idx = st.segments.partition_point(|s| s.first_lsn <= lsn.raw()).saturating_sub(1);
+        let seg = st
+            .segments
+            .get(seg_idx)
+            .ok_or(RhError::CorruptLog { lsn, reason: "index entry points into a dead segment" })?;
+        // Index positions: where the segment's records end, and the run's.
+        let seg_end = st
+            .segments
+            .get(seg_idx + 1)
+            .map_or(st.index.len(), |next| (next.first_lsn - st.base) as usize);
+        let last = seg_end.min(end.saturating_sub(st.base) as usize);
+        // A frame ends where the next one in its segment begins.
+        let frame_end = |i: usize| match st.index.get(i + 1) {
+            Some(&next) if i + 1 < seg_end => next,
             _ => seg.len,
         };
-        let payload_len = (end.checked_sub(offset))
-            .and_then(|frame_len| frame_len.checked_sub(frame::HEADER_LEN as u64))
+        let mut records = 1;
+        while idx + records < last && frame_end(idx + records).saturating_sub(offset) <= RUN_BYTES {
+            records += 1;
+        }
+        let len = (frame_end(idx + records - 1).checked_sub(offset))
             .ok_or(RhError::CorruptLog { lsn, reason: "index entries out of order" })?;
-        Ok((Arc::clone(&seg.file), offset, payload_len as usize))
+        Ok((Arc::clone(&seg.file), offset, len as usize, records as u64))
     }
 
-    pub(crate) fn read_encoded(&self, lsn: Lsn) -> Result<Arc<[u8]>> {
-        let (file, offset, payload_len) = self.locate(lsn)?;
-        let total = frame::HEADER_LEN + payload_len;
-        let mut buf = vec![0u8; total];
-        let mut read = 0usize;
-        while read < total {
-            let n = file
-                .read_at(offset + read as u64, &mut buf[read..])
-                .map_err(|_| RhError::CorruptLog { lsn, reason: "log read failed" })?;
-            if n == 0 {
-                return Err(RhError::CorruptLog { lsn, reason: "log file shorter than index" });
+    /// Hands `f` the stored payload of every record in `[from, end)`,
+    /// reading each run of frames (see [`Self::locate`]) with one
+    /// positioned read into one buffer reused across runs. Every frame is
+    /// checksum-checked; a bad one fails as `CorruptLog` at its LSN. `f`
+    /// runs with no lock held; `metrics` counts the positioned reads.
+    pub(crate) fn scan_encoded(
+        &self,
+        from: Lsn,
+        end: u64,
+        metrics: &LogMetrics,
+        mut f: impl FnMut(Lsn, &[u8]) -> Result<()>,
+    ) -> Result<()> {
+        let mut buf = Vec::new();
+        let mut lsn = from.raw();
+        while lsn < end {
+            let (file, offset, len, records) = self.locate(Lsn(lsn), end)?;
+            let failed = |reason| RhError::CorruptLog { lsn: Lsn(lsn), reason };
+            buf.resize(len, 0);
+            let mut read = 0;
+            while read < len {
+                metrics.record_stable_read();
+                match file.read_at(offset + read as u64, &mut buf[read..]) {
+                    Ok(0) => return Err(failed("log file shorter than index")),
+                    Ok(n) => read += n,
+                    Err(_) => return Err(failed("log read failed")),
+                }
             }
-            read += n;
-        }
-        match frame::decode(&buf) {
-            frame::Decoded::Valid { payload, .. } => Ok(payload.into()),
-            frame::Decoded::Torn => {
-                Err(RhError::CorruptLog { lsn, reason: "checksum mismatch on read" })
+            let run_end = lsn + records;
+            for (_, payload) in frame::frames(&buf).take(records as usize) {
+                f(Lsn(lsn), payload)?;
+                lsn += 1;
+            }
+            if lsn < run_end {
+                return Err(RhError::CorruptLog {
+                    lsn: Lsn(lsn),
+                    reason: "checksum mismatch on read",
+                });
             }
         }
+        Ok(())
     }
 
     /// Overwrites a record's frame in place (eager/lazy baselines only).
@@ -406,8 +446,8 @@ impl SegmentedFileLog {
     /// fixed-width fields), and the mem backend keeps full generality for
     /// unit tests.
     pub(crate) fn rewrite_encoded(&self, lsn: Lsn, payload: &[u8]) -> Result<()> {
-        let (file, offset, payload_len) = self.locate(lsn)?;
-        if payload.len() != payload_len {
+        let (file, offset, len, _) = self.locate(lsn, lsn.raw() + 1)?;
+        if frame::HEADER_LEN + payload.len() != len {
             return Err(storage("file-backed log rewrites must preserve record length"));
         }
         write_all(&*file, offset, &frame::encode(payload))
@@ -463,6 +503,18 @@ mod tests {
 
     fn payload(i: u64) -> Vec<u8> {
         format!("record-{i:04}").into_bytes()
+    }
+
+    impl SegmentedFileLog {
+        /// One record's payload, through a one-record scan.
+        fn read_encoded(&self, lsn: Lsn) -> Result<Vec<u8>> {
+            let mut out = Vec::new();
+            self.scan_encoded(lsn, lsn.raw() + 1, &LogMetrics::default(), |_, p| {
+                out = p.to_vec();
+                Ok(())
+            })?;
+            Ok(out)
+        }
     }
 
     #[test]

@@ -97,49 +97,35 @@ pub fn encode(payload: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Outcome of decoding the bytes at one frame boundary.
-#[derive(Debug, PartialEq, Eq)]
-pub enum Decoded<'a> {
-    /// A complete, checksum-valid frame; `payload` borrows from the input.
-    Valid {
-        /// The record bytes.
-        payload: &'a [u8],
-        /// Total frame size (header + payload), to advance the cursor.
-        frame_len: usize,
-    },
-    /// Anything else: incomplete header, implausible length, short
-    /// payload, or checksum mismatch. The distinction does not matter to
-    /// the caller — the scan stops here either way.
-    Torn,
+/// The frames packed back to back from the start of `buf`: each valid
+/// frame's byte offset and payload, ending at the first invalid frame
+/// (or the buffer's end). The segment scan on open, the log's run reads,
+/// the black-box reader and the wire's frame check all walk frames
+/// through this one iterator.
+pub fn frames(buf: &[u8]) -> impl Iterator<Item = (usize, &[u8])> {
+    let mut pos = 0;
+    std::iter::from_fn(move || {
+        let (payload, frame_len) = decode(buf.get(pos..)?)?;
+        pos += frame_len;
+        Some((pos - frame_len, payload))
+    })
 }
 
-/// Decodes the frame starting at `buf[0]`. `buf` may extend past the
-/// frame (the rest of the segment); only the leading frame is examined.
-pub fn decode(buf: &[u8]) -> Decoded<'_> {
-    if buf.len() < HEADER_LEN {
-        return Decoded::Torn;
-    }
-    let (Ok(len_bytes), Ok(crc_bytes)) =
-        (<[u8; 4]>::try_from(&buf[0..4]), <[u8; 4]>::try_from(&buf[4..8]))
-    else {
-        return Decoded::Torn;
-    };
-    let len = u32::from_le_bytes(len_bytes);
-    let crc = u32::from_le_bytes(crc_bytes);
+/// The payload and total length (header + payload) of the frame at
+/// `buf[0]`; `buf` may extend past it. `None` for an incomplete header,
+/// an implausible length, a short payload or a checksum mismatch: the
+/// distinction does not matter, a walk stops there either way.
+fn decode(buf: &[u8]) -> Option<(&[u8], usize)> {
+    let len = u32::from_le_bytes(buf.get(0..4)?.try_into().ok()?);
+    let crc = u32::from_le_bytes(buf.get(4..HEADER_LEN)?.try_into().ok()?);
     if len == 0 || len > MAX_PAYLOAD {
         // len == 0 doubles as the zero-filled-tail case (a preallocated or
         // partially synced region reads back as zeros).
-        return Decoded::Torn;
+        return None;
     }
     let end = HEADER_LEN + len as usize;
-    if buf.len() < end {
-        return Decoded::Torn;
-    }
-    let payload = &buf[HEADER_LEN..end];
-    if crc32(payload) != crc {
-        return Decoded::Torn;
-    }
-    Decoded::Valid { payload, frame_len: end }
+    let payload = buf.get(HEADER_LEN..end)?;
+    (crc32(payload) == crc).then_some((payload, end))
 }
 
 #[cfg(test)]
@@ -174,20 +160,14 @@ mod tests {
     #[test]
     fn roundtrip() {
         let frame = encode(b"hello log");
-        match decode(&frame) {
-            Decoded::Valid { payload, frame_len } => {
-                assert_eq!(payload, b"hello log");
-                assert_eq!(frame_len, frame.len());
-            }
-            Decoded::Torn => panic!("valid frame decoded as torn"),
-        }
+        assert_eq!(decode(&frame), Some((&b"hello log"[..], frame.len())));
     }
 
     #[test]
     fn every_strict_prefix_is_torn() {
         let frame = encode(b"some record payload bytes");
         for cut in 0..frame.len() {
-            assert_eq!(decode(&frame[..cut]), Decoded::Torn, "prefix of {cut} bytes");
+            assert_eq!(decode(&frame[..cut]), None, "prefix of {cut} bytes");
         }
     }
 
@@ -200,28 +180,23 @@ mod tests {
             // Flipping a length byte may still decode iff it yields the
             // same length; with a fixed buffer it cannot, so every flip
             // must be caught.
-            assert_eq!(decode(&copy), Decoded::Torn, "flip in byte {byte}");
+            assert_eq!(decode(&copy), None, "flip in byte {byte}");
         }
     }
 
     #[test]
     fn zero_fill_is_torn() {
-        assert_eq!(decode(&[0u8; 64]), Decoded::Torn);
+        assert_eq!(decode(&[0u8; 64]), None);
     }
 
     #[test]
-    fn trailing_bytes_are_ignored() {
+    fn a_walk_ignores_trailing_bytes_after_the_first_invalid_frame() {
         let mut buf = encode(b"first");
         buf.extend_from_slice(&encode(b"second"));
-        match decode(&buf) {
-            Decoded::Valid { payload, frame_len } => {
-                assert_eq!(payload, b"first");
-                match decode(&buf[frame_len..]) {
-                    Decoded::Valid { payload, .. } => assert_eq!(payload, b"second"),
-                    Decoded::Torn => panic!("second frame torn"),
-                }
-            }
-            Decoded::Torn => panic!("first frame torn"),
-        }
+        buf.extend_from_slice(&encode(b"third")[..5]);
+        buf.extend_from_slice(&encode(b"fourth"));
+        let got: Vec<_> = frames(&buf).collect();
+        assert_eq!(got, vec![(0, &b"first"[..]), (encode(b"first").len(), &b"second"[..])]);
+        assert_eq!(frames(&[]).count(), 0);
     }
 }

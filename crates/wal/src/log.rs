@@ -26,6 +26,14 @@
 //!   [`SegmentedFileLog`]: CRC-framed records in segment files, an
 //!   atomically renamed master record, and torn-tail truncation on open.
 //!
+//! ## Reads
+//!
+//! [`LogManager::read`] (the backward pass, reenactment) is one
+//! positioned read of one frame on the file backend. Sequential passes
+//! use [`LogManager::scan`]: one positioned read per run of whole frames
+//! (consecutive records of a segment, up to 64 KiB), then the unflushed
+//! tail; [`LogManager::scan_bytes`] yields the stable records undecoded.
+//!
 //! ## Group commit
 //!
 //! [`LogManager::flush_to`] runs in two phases. The *write* phase (under
@@ -253,10 +261,20 @@ impl StableLog {
         }
     }
 
-    fn read_encoded(&self, lsn: Lsn) -> Result<Arc<[u8]>> {
+    /// Hands `f` the stored bytes of every record in `[from, end)`, all of
+    /// them stable; the file backend counts its reads into `metrics`.
+    fn scan_encoded(
+        &self,
+        from: Lsn,
+        end: u64,
+        metrics: &LogMetrics,
+        mut f: impl FnMut(Lsn, &[u8]) -> Result<()>,
+    ) -> Result<()> {
         match &self.backend {
-            Backend::Mem(m) => m.read_encoded(lsn),
-            Backend::File(f) => f.read_encoded(lsn),
+            Backend::Mem(m) => {
+                (from.raw()..end).try_for_each(|lsn| f(Lsn(lsn), &m.read_encoded(Lsn(lsn))?))
+            }
+            Backend::File(file) => file.scan_encoded(from, end, metrics, f),
         }
     }
 
@@ -457,16 +475,17 @@ impl LogManager {
             let mut moved = 0u64;
             let mut bytes = 0u64;
             let mut fsyncs = 0u64;
-            while inner.tail.front().is_some_and(|rec| rec.lsn <= lsn) {
-                let rec = inner.tail.pop_front().expect("tail non-empty");
+            while let Some(rec) = inner.tail.front().filter(|rec| rec.lsn <= lsn) {
                 debug_assert_eq!(rec.lsn.raw(), self.stable.horizon(), "flush order");
-                let encoded = rec.to_bytes();
                 // Stable appends happen under the tail mutex so the
                 // tail→stable handoff is atomic per record; the backend
                 // only fsyncs here on a segment roll, and group sync
-                // happens in `sync_to` after `inner` is released.
+                // happens in `sync_to` after `inner` is released. The
+                // record leaves the tail only once appended: a failed
+                // append keeps it readable, and its LSN is never reissued.
                 // rh-analyze: allow(L6)
-                let out = self.stable.append_encoded(rec.lsn, &encoded)?;
+                let out = self.stable.append_encoded(rec.lsn, &rec.to_bytes())?;
+                inner.tail.pop_front();
                 bytes += out.bytes;
                 fsyncs += out.fsyncs;
                 moved += 1;
@@ -520,32 +539,71 @@ impl LogManager {
         self.flush_to(self.last_lsn())
     }
 
-    /// Reads the record at `lsn` (from the tail if unflushed, decoding
-    /// from stable bytes otherwise). Counts a read and possibly a seek.
+    /// Reads the record at `lsn`: a scan of one record, from the tail if
+    /// unflushed. Counts a read and possibly a seek.
     pub fn read(&self, lsn: Lsn) -> Result<LogRecord> {
         if lsn.is_null() {
             return Err(RhError::CorruptLog { lsn, reason: "read of NULL lsn" });
         }
-        self.metrics.record_read(lsn.raw());
-        {
-            let inner = self.inner.lock();
-            let horizon = self.stable.horizon();
-            if lsn.raw() >= horizon {
-                let idx = (lsn.raw() - horizon) as usize;
-                return inner
-                    .tail
-                    .get(idx)
-                    .cloned()
-                    .ok_or(RhError::CorruptLog { lsn, reason: "read past end of log" });
+        let mut out = None;
+        self.scan(lsn, lsn.next(), |rec| {
+            out = Some(rec);
+            Ok(())
+        })?;
+        out.ok_or(RhError::CorruptLog { lsn, reason: "read past end of log" })
+    }
+
+    /// Hands `f` every record in `[from, end)` in LSN order: the stable
+    /// ones decoded from [`Self::scan_bytes`], then the unflushed tail.
+    /// Each record is checked as [`Self::read`] checks it and counted as
+    /// one read, and `f` runs with no log lock held. The forward pass,
+    /// the time-travel index ingest and log dumps are built on this.
+    pub fn scan(
+        &self,
+        from: Lsn,
+        end: Lsn,
+        mut f: impl FnMut(LogRecord) -> Result<()>,
+    ) -> Result<()> {
+        let mut lsn = from.raw();
+        while lsn < end.raw() {
+            let stable_end = self.stable.horizon().min(end.raw());
+            if lsn < stable_end {
+                self.scan_bytes(Lsn(lsn), Lsn(stable_end), |at, bytes| f(decode(at, bytes)?))?;
+                lsn = stable_end;
+                continue;
             }
+            // A tail record, copied out under the tail lock: one that a
+            // concurrent flush moved meanwhile is read from stable storage.
+            let rec = {
+                let inner = self.inner.lock();
+                let horizon = self.stable.horizon();
+                if lsn < horizon {
+                    continue;
+                }
+                inner.tail.get((lsn - horizon) as usize).cloned()
+            };
+            let past_end = RhError::CorruptLog { lsn: Lsn(lsn), reason: "read past end of log" };
+            self.metrics.record_read(lsn);
+            f(rec.ok_or(past_end)?)?;
+            lsn += 1;
         }
-        let bytes = self.stable.read_encoded(lsn)?;
-        let rec = LogRecord::from_bytes(&bytes)
-            .map_err(|_| RhError::CorruptLog { lsn, reason: "undecodable record" })?;
-        if rec.lsn != lsn {
-            return Err(RhError::CorruptLog { lsn, reason: "stored lsn mismatch" });
-        }
-        Ok(rec)
+        Ok(())
+    }
+
+    /// Hands `f` the verified stored bytes of every record in `[from,
+    /// end)`, all of them stable, in LSN order: one positioned read per
+    /// run of frames (up to 64 KiB) on the file backend. Counts each
+    /// record as one read; `f` runs with no log lock held.
+    pub fn scan_bytes(
+        &self,
+        from: Lsn,
+        end: Lsn,
+        mut f: impl FnMut(Lsn, &[u8]) -> Result<()>,
+    ) -> Result<()> {
+        self.stable.scan_encoded(from, end.raw(), &self.metrics, |lsn, bytes| {
+            self.metrics.record_read(lsn.raw());
+            f(lsn, bytes)
+        })
     }
 
     /// Overwrites the record at `lsn` **in place**. Only the eager and
@@ -578,32 +636,15 @@ impl LogManager {
                 return Ok(());
             }
         }
-        let bytes = self.stable.read_encoded(lsn)?;
-        let mut rec = LogRecord::from_bytes(&bytes)
-            .map_err(|_| RhError::CorruptLog { lsn, reason: "undecodable record" })?;
+        let mut stored = Err(RhError::CorruptLog { lsn, reason: "rewrite past end of log" });
+        self.stable.scan_encoded(lsn, lsn.raw() + 1, &self.metrics, |_, bytes| {
+            stored = decode(lsn, bytes);
+            Ok(())
+        })?;
+        let mut rec = stored?;
         f(&mut rec);
         rec.lsn = lsn;
         self.stable.rewrite_encoded(lsn, &rec.to_bytes())
-    }
-
-    /// Scans records in `[from, to]` forward, invoking `f` on each.
-    /// The recovery forward pass (paper Fig. 3) is built on this.
-    pub fn scan_forward(
-        &self,
-        from: Lsn,
-        to: Lsn,
-        mut f: impl FnMut(&LogRecord) -> Result<()>,
-    ) -> Result<()> {
-        if from.is_null() || to.is_null() || from > to {
-            return Ok(());
-        }
-        let mut lsn = from;
-        while lsn <= to {
-            let rec = self.read(lsn)?;
-            f(&rec)?;
-            lsn = lsn.next();
-        }
-        Ok(())
     }
 
     /// Ingests every record through `upto` (clamped to the last record)
@@ -619,24 +660,15 @@ impl LogManager {
                 last if last.is_null() => 0,
                 last => upto.min(last).raw() + 1,
             };
-            let mut lsn = index.next().max(self.stable.base());
+            let from = index.next().max(self.stable.base());
             let mut ingested = 0;
-            let mut failed = None;
-            while lsn < end {
-                match self.read(Lsn(lsn)) {
-                    Ok(rec) => index.add(&rec),
-                    Err(e) => {
-                        failed = Some(e);
-                        break;
-                    }
-                }
+            let scanned = self.scan(Lsn(from), Lsn(end), |rec| {
+                index.add(&rec);
                 ingested += 1;
-                lsn += 1;
-            }
+                Ok(())
+            });
             self.metrics.record_index(ingested, index.entries());
-            if let Some(e) = failed {
-                return Err(e);
-            }
+            scanned?;
         }
         Ok(f(&index))
     }
@@ -672,6 +704,16 @@ impl LogManager {
         // Dropping `self.inner` loses the tail; only `stable` survives.
         self.stable
     }
+}
+
+/// Decodes the stored bytes of record `lsn`, checking the LSN they carry.
+fn decode(lsn: Lsn, bytes: &[u8]) -> Result<LogRecord> {
+    let rec = LogRecord::from_bytes(bytes)
+        .map_err(|_| RhError::CorruptLog { lsn, reason: "undecodable record" })?;
+    if rec.lsn != lsn {
+        return Err(RhError::CorruptLog { lsn, reason: "stored lsn mismatch" });
+    }
+    Ok(rec)
 }
 
 impl Default for LogManager {
@@ -796,13 +838,14 @@ mod tests {
     }
 
     #[test]
-    fn scan_forward_visits_in_order() {
+    fn scan_visits_in_order() {
         let log = LogManager::new();
         for i in 0..4 {
             log.append(TxnId(1), Lsn::NULL, upd(i));
         }
+        log.flush_to(Lsn(1)).unwrap();
         let mut seen = Vec::new();
-        log.scan_forward(Lsn(1), Lsn(3), |rec| {
+        log.scan(Lsn(1), Lsn(4), |rec| {
             seen.push(rec.lsn);
             Ok(())
         })
@@ -811,20 +854,17 @@ mod tests {
     }
 
     #[test]
-    fn scan_forward_empty_ranges() {
+    fn scan_empty_ranges() {
         let log = LogManager::new();
         log.append(TxnId(1), Lsn::NULL, RecordBody::Begin);
         let mut n = 0;
-        log.scan_forward(Lsn(1), Lsn(0), |_| {
-            n += 1;
-            Ok(())
-        })
-        .unwrap();
-        log.scan_forward(Lsn::NULL, Lsn(0), |_| {
-            n += 1;
-            Ok(())
-        })
-        .unwrap();
+        for (from, end) in [(Lsn(1), Lsn(0)), (Lsn(1), Lsn(1)), (Lsn::NULL, Lsn(0))] {
+            log.scan(from, end, |_| {
+                n += 1;
+                Ok(())
+            })
+            .unwrap();
+        }
         assert_eq!(n, 0);
     }
 

@@ -9,6 +9,8 @@
 //!
 //! * `appends` / `records_flushed` / `flushes` — normal append-only traffic;
 //! * `records_read` — every record decode;
+//! * `stable_reads` — positioned reads of segment files by reads and
+//!   scans (a scan issues one per run of frames, not per record);
 //! * `seeks` — reads that were *not* adjacent (±1) to the previous access,
 //!   i.e. the random jumps that thrash a disk-resident log;
 //! * `in_place_rewrites` — stable records overwritten after the fact,
@@ -30,6 +32,7 @@ pub struct LogMetrics {
     flushes: AtomicU64,
     records_flushed: AtomicU64,
     records_read: AtomicU64,
+    stable_reads: AtomicU64,
     seeks: AtomicU64,
     in_place_rewrites: AtomicU64,
     fsyncs: AtomicU64,
@@ -47,6 +50,7 @@ impl Default for LogMetrics {
             flushes: AtomicU64::new(0),
             records_flushed: AtomicU64::new(0),
             records_read: AtomicU64::new(0),
+            stable_reads: AtomicU64::new(0),
             seeks: AtomicU64::new(0),
             in_place_rewrites: AtomicU64::new(0),
             fsyncs: AtomicU64::new(0),
@@ -69,6 +73,8 @@ pub struct LogMetricsSnapshot {
     pub records_flushed: u64,
     /// Records read (decoded) from the log.
     pub records_read: u64,
+    /// Positioned reads of segment files (file backend only).
+    pub stable_reads: u64,
     /// Non-adjacent accesses (distance > 1 from the previous touch).
     pub seeks: u64,
     /// Stable records overwritten in place (baselines only).
@@ -102,6 +108,10 @@ impl LogMetrics {
     pub(crate) fn record_read(&self, pos: u64) {
         self.records_read.fetch_add(1, Ordering::Relaxed);
         self.touch(pos);
+    }
+
+    pub(crate) fn record_stable_read(&self) {
+        self.stable_reads.fetch_add(1, Ordering::Relaxed);
     }
 
     pub(crate) fn record_rewrite(&self, pos: u64) {
@@ -142,6 +152,7 @@ impl LogMetrics {
             flushes: self.flushes.load(Ordering::Relaxed),
             records_flushed: self.records_flushed.load(Ordering::Relaxed),
             records_read: self.records_read.load(Ordering::Relaxed),
+            stable_reads: self.stable_reads.load(Ordering::Relaxed),
             seeks: self.seeks.load(Ordering::Relaxed),
             in_place_rewrites: self.in_place_rewrites.load(Ordering::Relaxed),
             fsyncs: self.fsyncs.load(Ordering::Relaxed),
@@ -158,6 +169,7 @@ impl LogMetrics {
         self.flushes.store(0, Ordering::Relaxed);
         self.records_flushed.store(0, Ordering::Relaxed);
         self.records_read.store(0, Ordering::Relaxed);
+        self.stable_reads.store(0, Ordering::Relaxed);
         self.seeks.store(0, Ordering::Relaxed);
         self.in_place_rewrites.store(0, Ordering::Relaxed);
         self.fsyncs.store(0, Ordering::Relaxed);
@@ -177,6 +189,7 @@ impl LogMetricsSnapshot {
         registry.set(names::M_LOG_FLUSHES, self.flushes);
         registry.set(names::M_LOG_RECORDS_FLUSHED, self.records_flushed);
         registry.set(names::M_LOG_RECORDS_READ, self.records_read);
+        registry.set(names::M_LOG_STABLE_READS, self.stable_reads);
         registry.set(names::M_LOG_SEEKS, self.seeks);
         registry.set(names::M_LOG_IN_PLACE_REWRITES, self.in_place_rewrites);
         registry.set(names::M_LOG_FSYNCS, self.fsyncs);
@@ -193,6 +206,7 @@ impl LogMetricsSnapshot {
             flushes: self.flushes - earlier.flushes,
             records_flushed: self.records_flushed - earlier.records_flushed,
             records_read: self.records_read - earlier.records_read,
+            stable_reads: self.stable_reads - earlier.stable_reads,
             seeks: self.seeks - earlier.seeks,
             in_place_rewrites: self.in_place_rewrites - earlier.in_place_rewrites,
             fsyncs: self.fsyncs - earlier.fsyncs,

@@ -47,20 +47,11 @@ pub fn segment_path(dir: &Path, first_lsn: u64) -> PathBuf {
     dir.join(segment_file_name(first_lsn))
 }
 
-/// Location of one frame inside a segment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FrameLoc {
-    /// Byte offset of the frame header within the segment file.
-    pub offset: u64,
-    /// Payload length in bytes (the frame occupies `HEADER_LEN + len`).
-    pub payload_len: u32,
-}
-
 /// Result of scanning one segment file on open.
 #[derive(Debug)]
 pub struct ScanOutcome {
-    /// Locations of the valid frames, in order.
-    pub frames: Vec<FrameLoc>,
+    /// Byte offsets of the valid frames within the segment, in order.
+    pub frames: Vec<u64>,
     /// Byte length of the valid prefix. Anything past it is torn.
     pub valid_len: u64,
     /// True if the file extended past `valid_len` (a torn tail was seen).
@@ -84,13 +75,14 @@ pub fn scan_segment(file: &dyn WalFile) -> io::Result<ScanOutcome> {
         read += n;
     }
 
-    let mut frames = Vec::new();
-    let mut pos = 0usize;
-    while let frame::Decoded::Valid { payload, frame_len } = frame::decode(&buf[pos..]) {
-        frames.push(FrameLoc { offset: pos as u64, payload_len: payload.len() as u32 });
-        pos += frame_len;
-    }
-    Ok(ScanOutcome { frames, valid_len: pos as u64, torn: (pos as u64) < buf.len() as u64 })
+    let mut valid_len = 0;
+    let frames = frame::frames(&buf)
+        .map(|(offset, payload)| {
+            valid_len = offset + frame::HEADER_LEN + payload.len();
+            offset as u64
+        })
+        .collect();
+    Ok(ScanOutcome { frames, valid_len: valid_len as u64, torn: valid_len < buf.len() })
 }
 
 #[cfg(test)]
@@ -151,7 +143,7 @@ mod tests {
         assert_eq!(out.frames.len(), 2);
         assert_eq!(out.valid_len, bytes.len() as u64);
         assert!(!out.torn);
-        assert_eq!(out.frames[1].offset, frame::encode(b"one").len() as u64);
+        assert_eq!(out.frames[1], frame::encode(b"one").len() as u64);
     }
 
     #[test]
